@@ -6,19 +6,19 @@ class RiemgridError(Exception):
 
 
 class PositivityLoss(RiemgridError):
-    """A metric (or an intermediate point of an integration) left the SPD cone."""
+    """A metric (or a point of a geodesic) left the SPD cone."""
 
 
 class ToleranceNotMet(RiemgridError):
-    """Adaptive step control could not reach the requested tolerance."""
+    """A computed result missed its requested tolerance."""
 
 
 class NoConvergence(RiemgridError):
-    """An iterative solver ran out of iterations before reaching tolerance."""
+    """A solver did not reach tolerance, or a target lies outside a chart's domain."""
 
 
 class SolverStall(RiemgridError):
-    """Conjugate gradients exceeded its iteration budget."""
+    """A splitting solve missed its tolerance or its iteration budget."""
 
 
 class JacobianSignFlip(RiemgridError):

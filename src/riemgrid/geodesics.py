@@ -1,20 +1,26 @@
 """The weak L2 (Ebin) Riemannian structure on the discretized metric space.
 
 The inner product is sigma_g(S, T) = integral tr(g^{-1} S g^{-1} T) dvol(g).
-Because each cell contributes independently, its geodesic equation is a
-pointwise second-order ODE in the 3-dimensional SPD fiber.  Taking the first
-variation of the energy (1/2) integral tr(g^{-1} g' g^{-1} g') sqrt(det g) dt
-per cell gives, with A = g^{-1} g',
+Each cell contributes independently, and per cell the metric
+tr(g^{-1} dg g^{-1} dg) sqrt(det g) is a metric cone over the hyperbolic
+plane: writing g = R^2 g_1 with det g_1 = det g(0) and
+R^2 = sqrt(det g / det g(0)), it reads 8 sqrt(det g(0)) (dR^2 + R^2 d alpha^2),
+where 2 alpha is the hyperbolic distance travelled by the unimodular part g_1
+(Freed-Groisser, Michigan Math. J. 1989; Gil-Medrano-Michor, Quart. J. Math.
+1991).  Geodesics are straight lines in the polar coordinates (R, alpha), so
+exp and log have closed forms.
 
-    g'' = g' A  +  (1/4) tr(A A) g  -  (1/2) tr(A) g',
+With A = g^{-1} h, a = tr A, lambda = sqrt(tr(A_0^2) / 2) for the traceless
+part A_0, p = 1 + t a / 4, q = t lambda / 2 and alpha = atan2(q, p),
 
-which is what ebin_exp integrates.  Sanity anchor: for conformal motion
-g(t) = c(t) I the equation reduces to c'' = c'^2 / (2 c), whose solution
-c(t) = (1 + k t)^2 gives closed-form endpoints used by the tests.
+    exp_g(t h) = (p^2 + q^2) (cosh 2 alpha g + (sinh 2 alpha / lambda) (h - (a/2) g)),
 
-ebin_log inverts the endpoint map by shooting: damped Gauss-Newton on the
-endpoint mismatch, with per-cell 3x3 Jacobians obtained by finite differencing
-the integrator (the pointwise ODE makes the Jacobian block-diagonal).
+and sinh 2 alpha / lambda tends to t / p as lambda -> 0.  Sanity anchor: for
+conformal motion g(t) = c(t) I this is c(t) = (1 + k t)^2.  The only way out
+of the SPD cone is through its apex (lambda = 0 and p <= 0 on [0, t]), which
+raises PositivityLoss.  The log reads R and alpha off the endpoint; it exists
+exactly when alpha < pi, since a straight segment from (R, alpha) = (1, 0)
+reaches no polar angle at or beyond pi.
 """
 
 from __future__ import annotations
@@ -23,17 +29,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _inv_stack, _trace_pairing_values, _vol_values
+from .calculus import _det, _inv, _inv_stack, _trace_pairing_values, _vol_values
 from .errors import NoConvergence, PositivityLoss, ToleranceNotMet
 from .grid import MetricField, SymTensorField
 
-_MAX_STEPS = 10_000
-_SAMPLE_CAP = 256
+# sample times of a returned path: the speed check runs between them
+_SAMPLES = 17
+# lambda at or below this multiple of |a| is zero to roundoff
+_APEX = 64.0 * np.finfo(np.float64).eps
 
 
 def ebin_inner(g: MetricField, s: SymTensorField, t: SymTensorField) -> float:
     """sigma_g(S, T): integral of tr(g^{-1} S g^{-1} T) against dvol(g)."""
-    vals = _trace_pairing_values(_inv_stack(g), s.as_stack(), t.as_stack()) * _vol_values(g)
+    return _sym_inner(g, s.as_stack(), t.as_stack())
+
+
+def _sym_inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> float:
+    """ebin_inner on (3, n, n) stacks."""
+    vals = _trace_pairing_values(_inv_stack(g), a, b) * _vol_values(g)
     return float(g.spec.h ** 2 * np.sum(vals))
 
 
@@ -56,13 +69,16 @@ class GeodesicSample:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Sampled solution of the geodesic ODE from (base, velocity)."""
+    """Geodesic from (base, velocity), sampled at equally spaced times.
+
+    steps counts the time steps evaluated after t = 0: one per later sample of
+    the closed form, none for a constant path.
+    """
 
     base: MetricField
     velocity: SymTensorField
     samples: tuple
     steps: int
-    max_error_estimate: float
     speed_drift: float
 
     @property
@@ -74,246 +90,109 @@ class GeodesicPath:
         return self.samples[-1].velocity
 
 
-def _rhs(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise geodesic acceleration; g, v have shape (..., 3, n, n)."""
-    g0, g1, g2 = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :]
-    v0, v1, v2 = v[..., 0, :, :], v[..., 1, :, :], v[..., 2, :, :]
-    det = g0 * g2 - g1 * g1
-    i0, i1, i2 = g2 / det, -g1 / det, g0 / det
-    a11 = i0 * v0 + i1 * v1
-    a12 = i0 * v1 + i1 * v2
-    a21 = i1 * v0 + i2 * v1
-    a22 = i1 * v1 + i2 * v2
-    tr_a = a11 + a22
-    tr_aa = a11 * a11 + 2.0 * a12 * a21 + a22 * a22
-    w0 = v0 * a11 + v1 * a21
-    w1 = v0 * a12 + v1 * a22
-    w2 = v1 * a12 + v2 * a22
-    acc = np.empty_like(v)
-    acc[..., 0, :, :] = w0 + 0.25 * tr_aa * g0 - 0.5 * tr_a * v0
-    acc[..., 1, :, :] = w1 + 0.25 * tr_aa * g1 - 0.5 * tr_a * v1
-    acc[..., 2, :, :] = w2 + 0.25 * tr_aa * g2 - 0.5 * tr_a * v2
-    return v, acc
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x) / x, by its Taylor series near 0 (error below 1e-22 there)."""
+    x2 = x * x
+    small = np.abs(x) < 1e-3
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0), np.sinh(safe) / safe)
 
 
-def _rk4_step(g, v, dt):
-    k1g, k1v = _rhs(g, v)
-    k2g, k2v = _rhs(g + 0.5 * dt * k1g, v + 0.5 * dt * k1v)
-    k3g, k3v = _rhs(g + 0.5 * dt * k2g, v + 0.5 * dt * k2v)
-    k4g, k4v = _rhs(g + dt * k3g, v + dt * k3v)
-    return (
-        g + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g),
-        v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
+def _trace(inv: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """tr(g^{-1} s) per cell from the inverse stack."""
+    return inv[0] * s[0] + 2.0 * inv[1] * s[1] + inv[2] * s[2]
 
 
-def _is_spd(g: np.ndarray) -> bool:
-    det = g[..., 0, :, :] * g[..., 2, :, :] - g[..., 1, :, :] ** 2
-    return bool(np.all(g[..., 0, :, :] > 0.0) and np.all(det > 0.0))
+def _geodesic(g: np.ndarray, s: np.ndarray, t, velocity: bool = False):
+    """Closed-form exp_g(t s) and, if asked, its t-derivative.
 
-
-def _speed(spec_h2: float, g: np.ndarray, v: np.ndarray) -> float:
-    det = g[0] * g[2] - g[1] ** 2
-    inv = np.stack([g[2] / det, -g[1] / det, g[0] / det])
-    return float(spec_h2 * np.sum(_trace_pairing_values(inv, v, v) * np.sqrt(det)))
+    g and s are (3, n, n) stacks; t is a float or an array of times with shape
+    (m, 1, 1), which adds a leading time axis to the results.
+    """
+    inv = _inv(g)
+    a = _trace(inv, s)
+    k0 = s - 0.5 * a * g  # g A_0
+    lam = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
+    p = 1.0 + 0.25 * t * a
+    q = 0.5 * t * lam
+    if np.any((p <= 0.0) & (lam <= _APEX * np.abs(a))):
+        raise PositivityLoss("geodesic reaches the apex of the SPD cone; rescale the initial velocity")
+    alpha = np.arctan2(q, p)
+    # alpha / lambda, with its limit t / (2 p) on exactly conformal cells
+    with np.errstate(divide="ignore"):
+        c = np.divide(alpha, lam, out=0.5 * t / p, where=lam > 0.0)
+    cosh2, sinhc2 = np.cosh(2.0 * alpha), _sinhc(2.0 * alpha)
+    r2 = p * p + q * q
+    w = 2.0 * c * sinhc2  # sinh(2 alpha) / lambda
+    point = np.stack([r2 * cosh2 * g[k] + r2 * w * k0[k] for k in range(3)], axis=-3)
+    if not velocity:
+        return point
+    dr2 = 0.5 * p * a + q * lam
+    du = dr2 * cosh2 + lam * lam * w
+    dw = dr2 * w + cosh2
+    return point, np.stack([du * g[k] + dw * k0[k] for k in range(3)], axis=-3)
 
 
 def ebin_exp(g: MetricField, s: SymTensorField, t_end: float = 1.0, tol: float = 1e-8) -> GeodesicPath:
-    """Geodesic from g with initial velocity s, integrated to time t_end.
+    """Geodesic from g with initial velocity s, evaluated in closed form up to t_end.
 
-    Adaptive RK4 with step doubling; every accepted point must stay in the SPD
-    cone (violations raise PositivityLoss, nothing is projected), and the
-    sigma-speed along the returned path is constant within tol.
+    The path is sampled at equally spaced times; the first sample is (g, s)
+    itself.  A path through the apex of the SPD cone raises PositivityLoss,
+    and the sigma-speed must agree between the samples within tol
+    (ToleranceNotMet otherwise).
     """
     spec = g.spec
-    h2 = spec.h ** 2
-    gbuf = g.as_stack().astype(np.float64)
-    vbuf = s.as_stack().astype(np.float64)
+    if t_end == 0.0 or not np.any(s.as_stack()):
+        return GeodesicPath(g, s, (GeodesicSample(0.0, g, s), GeodesicSample(t_end, g, s)), 0, 0.0)
+    times = np.linspace(0.0, t_end, _SAMPLES)
+    points, velocities = _geodesic(g.as_stack(), s.as_stack(), times[:, None, None], velocity=True)
+    samples = [GeodesicSample(0.0, g, s)]
+    for t, point, vel in zip(times[1:], points[1:], velocities[1:]):
+        metric = MetricField.from_stack(spec, point)
+        samples.append(GeodesicSample(float(t), metric, SymTensorField.from_stack(spec, vel)))
 
-    records = [(0.0, gbuf, vbuf)]
-    if t_end == 0.0 or not np.any(vbuf):
-        records.append((t_end, gbuf, vbuf))
-        return _package(g, s, records, 0, 0.0, 0.0)
-
-    step_tol = tol * 1e-2
-    scale = max(float(np.max(np.abs(gbuf))), float(np.max(np.abs(vbuf))), 1.0)
-    speed0 = _speed(h2, gbuf, vbuf)
+    speed0 = ebin_inner(g, s, s)
     drift = 0.0
-    max_err = 0.0
-    t = 0.0
-    dt = t_end / 16.0
-    dt_min = abs(t_end) * 1e-12
-    steps = 0
-    keep_every, since_kept = 1, 0
-
-    while t < t_end:
-        dt = min(dt, t_end - t)
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise ToleranceNotMet(f"step budget {_MAX_STEPS} exhausted at t={t:.3g}")
-        with np.errstate(all="ignore"):
-            g_full, v_full = _rk4_step(gbuf, vbuf, dt)
-            g_half, v_half = _rk4_step(gbuf, vbuf, 0.5 * dt)
-            g_two, v_two = _rk4_step(g_half, v_half, 0.5 * dt)
-        err_raw = max(float(np.max(np.abs(g_two - g_full))), float(np.max(np.abs(v_two - v_full))))
-        err = err_raw / (15.0 * scale)
-        if not np.isfinite(err):
-            err = np.inf
-        if err <= step_tol:
-            if not _is_spd(g_two):
-                raise PositivityLoss("geodesic left the SPD cone; rescale the initial velocity")
-            gbuf, vbuf = g_two, v_two
-            t += dt
-            max_err = max(max_err, err_raw / 15.0)
-            sp = _speed(h2, gbuf, vbuf)
-            drift = max(drift, abs(sp - speed0) / speed0)
-            since_kept += 1
-            if since_kept >= keep_every or t >= t_end:
-                records.append((t, gbuf, vbuf))
-                since_kept = 0
-                if len(records) > _SAMPLE_CAP:
-                    records = records[0:1] + records[1:-1:2] + records[-1:]
-                    keep_every *= 2
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (step_tol / err) ** 0.2))
-        dt *= factor
-        if dt < dt_min:
-            if not _is_spd(gbuf):
-                raise PositivityLoss("geodesic left the SPD cone; rescale the initial velocity")
-            raise ToleranceNotMet("step size underflow in geodesic integration")
-
+    if speed0 > 0.0:  # zero only when s underflows
+        drift = max(abs(ebin_inner(x.point, x.velocity, x.velocity) - speed0) for x in samples) / speed0
     if drift > tol:
         raise ToleranceNotMet(f"sigma-speed drift {drift:.3e} exceeds tol {tol:.3e}")
-    return _package(g, s, records, steps, max_err, drift)
+    return GeodesicPath(g, s, tuple(samples), _SAMPLES - 1, drift)
 
 
-def _package(g, s, records, steps, max_err, drift) -> GeodesicPath:
-    spec = g.spec
-    samples = tuple(
-        GeodesicSample(t, MetricField.from_stack(spec, gb), SymTensorField.from_stack(spec, vb))
-        for t, gb, vb in records
-    )
-    return GeodesicPath(g, s, samples, steps, max_err, drift)
+def ebin_log(g_base: MetricField, g_target: MetricField, tol: float = 1e-8) -> SymTensorField:
+    """Initial velocity S with exp(g_base, S, 1).endpoint = g_target, in closed form.
 
-
-def _endpoints_fixed(g0: np.ndarray, v0: np.ndarray, t_end: float, n_steps: int) -> np.ndarray:
-    """Batched fixed-step RK4 endpoint map; shape (..., 3, n, n) in and out."""
-    g, v = g0, v0
-    dt = t_end / n_steps
-    with np.errstate(all="ignore"):
-        for _ in range(n_steps):
-            g, v = _rk4_step(g, v, dt)
-    return g
-
-
-def _endpoint_adaptive(g0: np.ndarray, v0: np.ndarray, t_end: float, step_tol: float) -> np.ndarray:
-    g, v = g0, v0
-    t, dt = 0.0, t_end / 16.0
-    steps = 0
-    scale = max(float(np.max(np.abs(g0))), float(np.max(np.abs(v0))), 1.0)
-    while t < t_end:
-        dt = min(dt, t_end - t)
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise ToleranceNotMet("step budget exhausted")
-        with np.errstate(all="ignore"):
-            g_full, v_full = _rk4_step(g, v, dt)
-            g_half, v_half = _rk4_step(g, v, 0.5 * dt)
-            g_two, v_two = _rk4_step(g_half, v_half, 0.5 * dt)
-        err = max(float(np.max(np.abs(g_two - g_full))), float(np.max(np.abs(v_two - v_full)))) / (15.0 * scale)
-        if not np.isfinite(err):
-            err = np.inf
-        if err <= step_tol:
-            g, v, t = g_two, v_two, t + dt
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (step_tol / err) ** 0.2))
-        dt *= factor
-        if dt < abs(t_end) * 1e-12:
-            raise ToleranceNotMet("step size underflow")
-    return g
-
-
-def ebin_log(
-    g_base: MetricField,
-    g_target: MetricField,
-    tol: float = 1e-8,
-    max_iter: int = 30,
-    fast_steps: int = 32,
-) -> SymTensorField:
-    """Initial velocity S with exp(g_base, S, 1).endpoint = g_target within tol.
-
-    Shooting: Gauss-Newton on the endpoint mismatch, Jacobian-vector blocks by
-    central finite differences of the integrator, per-cell 3x3 solves (the ODE
-    is pointwise, so the Jacobian is block-diagonal).  The search iterates on a
-    fixed-step endpoint map and is then polished against the adaptive
-    integrator, so the returned S meets the contract of ebin_exp itself.
-    Raises NoConvergence when g_target is outside the local chart.
+    Per cell, B = g^{-1} k for the target k gives the radius R^2 = sqrt(det B)
+    and the angle 2 alpha = asinh(|B_0| / R^2) of the traceless part B_0 (the
+    asinh keeps full relative accuracy near the identity).  Raises
+    NoConvergence when some cell has alpha >= pi, where no geodesic reaches
+    the target, or when exp of the result misses g_target by more than tol in
+    relative sigma norm.
     """
     spec = g_base.spec
-    g0 = g_base.as_stack().astype(np.float64)
-    target = g_target.as_stack().astype(np.float64)
-    norm_target = max(ebin_norm(g_base, g_target.g), 1e-300)
-
-    def signorm(stack: np.ndarray) -> float:
-        if not np.all(np.isfinite(stack)):
-            return np.inf
-        return ebin_norm(g_base, SymTensorField.from_stack(spec, stack))
-
-    s = target - g0
-    if signorm(s) == 0.0:
-        return SymTensorField.from_stack(spec, s)
-
-    eps = 1e-6 * max(1.0, float(np.max(np.abs(g0))))
-    n2 = spec.n * spec.n
-    basis = np.zeros((3, 3, 1, 1))
-    for k in range(3):
-        basis[k, k, 0, 0] = 1.0
-
-    def fast_endpoint_and_jac(s_now: np.ndarray):
-        batch = np.concatenate(
-            [s_now[None], s_now[None] + eps * basis, s_now[None] - eps * basis], axis=0
+    g = g_base.as_stack()
+    k = g_target.as_stack()
+    inv = _inv(g)
+    half_tr = 0.5 * _trace(inv, k)
+    k0 = k - half_tr * g  # g B_0
+    mu = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
+    r2 = np.sqrt(_det(k) / _det(g))
+    alpha = 0.5 * np.arcsinh(mu / r2)
+    outside = alpha >= np.pi
+    if np.any(outside):
+        raise NoConvergence(
+            f"target outside the log domain: angle {float(np.max(alpha)):.4f} >= pi "
+            f"at {int(np.sum(outside))} cells"
         )
-        ends = _endpoints_fixed(np.broadcast_to(g0, batch.shape).copy(), batch, 1.0, fast_steps)
-        jac = (ends[1:4] - ends[4:7]) / (2.0 * eps)  # [k, c, :, :] = d end_c / d s_k
-        return ends[0], np.transpose(jac.reshape(3, 3, n2), (2, 1, 0))  # (cell, c, k)
+    r = np.sqrt(r2)
+    p_minus_1 = (r - 1.0) - 2.0 * r * np.sin(0.5 * alpha) ** 2
+    # 2 q / mu = 2 R sin(alpha) / (R^2 sinh(2 alpha)), finite as alpha -> 0
+    scale = np.sinc(alpha / np.pi) / (r * _sinhc(2.0 * alpha))
+    s = np.stack([2.0 * p_minus_1 * g[j] + scale * k0[j] for j in range(3)])
 
-    res = signorm(_endpoints_fixed(g0.copy(), s, 1.0, fast_steps) - target)
-    for _ in range(max_iter):
-        end, jac = fast_endpoint_and_jac(s)
-        r = (end - target).reshape(3, n2).T  # (n2, 3)
-        try:
-            delta = np.linalg.solve(jac, -r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular shooting Jacobian; target outside the local chart")
-        delta = delta.T.reshape(3, spec.n, spec.n)
-        lam, improved = 1.0, False
-        for _ in range(10):
-            trial = s + lam * delta
-            res_try = signorm(_endpoints_fixed(g0.copy(), trial, 1.0, fast_steps) - target)
-            if res_try < res:
-                s, res, improved = trial, res_try, True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-        if res <= 0.25 * tol * norm_target:
-            break
-
-    # polish against the adaptive integrator, whose endpoint defines the contract
-    step_tol = min(1e-10, tol * 1e-3)
-    polish_budget = min(6, max_iter)
-    for k in range(polish_budget + 1):
-        end = _endpoint_adaptive(g0, s, 1.0, step_tol)
-        r_stack = end - target
-        res_true = signorm(r_stack)
-        if res_true <= tol * norm_target:
-            return SymTensorField.from_stack(spec, s)
-        if k == polish_budget:
-            break
-        _, jac = fast_endpoint_and_jac(s)
-        r = r_stack.reshape(3, n2).T
-        try:
-            delta = np.linalg.solve(jac, -r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular shooting Jacobian; target outside the local chart")
-        s = s + delta.T.reshape(3, spec.n, spec.n)
-
-    raise NoConvergence(f"shooting stalled at relative mismatch {res_true:.3e} (tol {tol:.3e})")
+    miss = _geodesic(g, s, 1.0) - k
+    mismatch = np.sqrt(max(_sym_inner(g_base, miss, miss), 0.0))
+    if mismatch > tol * max(ebin_norm(g_base, g_target.g), 1e-300):
+        raise NoConvergence(f"closed-form log missed the target by {mismatch:.3e} (tol {tol:.3e})")
+    return SymTensorField.from_stack(spec, s)

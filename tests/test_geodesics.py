@@ -18,6 +18,7 @@ from riemgrid.grid import (
     GridSpec,
     MetricField,
     ScalarField,
+    SymTensorField,
     constant_field,
     constant_metric,
     identity_metric,
@@ -129,6 +130,57 @@ def test_exp_positivity_loss():
         ebin_exp(GAMMA, constant_field(SPEC, -2.5 * np.eye(2)), 1.0)
 
 
+def _curved_base(n=32):
+    spec = GridSpec(n)
+    return MetricField(constant_field(spec, np.eye(2)) + random_sym_tensor(spec, 11, amplitude=0.2))
+
+
+def _acceleration(g, v):
+    """Pointwise geodesic equation g'' = g' A + tr(A A) g / 4 - tr(A) g' / 2, A = g^{-1} g'."""
+    det = g[0] * g[2] - g[1] ** 2
+    i0, i1, i2 = g[2] / det, -g[1] / det, g[0] / det
+    a11, a12 = i0 * v[0] + i1 * v[1], i0 * v[1] + i1 * v[2]
+    a21, a22 = i1 * v[0] + i2 * v[1], i1 * v[1] + i2 * v[2]
+    tr_a, tr_aa = a11 + a22, a11 * a11 + 2.0 * a12 * a21 + a22 * a22
+    w = np.stack([v[0] * a11 + v[1] * a21, v[0] * a12 + v[1] * a22, v[1] * a12 + v[2] * a22])
+    return w + 0.25 * tr_aa * g - 0.5 * tr_a * v
+
+
+def _rk4_oracle(g, v, t_end, steps):
+    """Fixed-step RK4 on the geodesic ODE; independent of the closed form."""
+    dt = t_end / steps
+    for _ in range(steps):
+        k1g, k1v = v, _acceleration(g, v)
+        k2g, k2v = v + 0.5 * dt * k1v, _acceleration(g + 0.5 * dt * k1g, v + 0.5 * dt * k1v)
+        k3g, k3v = v + 0.5 * dt * k2v, _acceleration(g + 0.5 * dt * k2g, v + 0.5 * dt * k2v)
+        k4g, k4v = v + dt * k3v, _acceleration(g + dt * k3g, v + dt * k3v)
+        g = g + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return g, v
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 0.2, 0.5])
+def test_exp_matches_rk4_oracle(amplitude):
+    g = _curved_base()
+    s = random_sym_tensor(g.spec, 12, amplitude=amplitude)
+    path = ebin_exp(g, s, 1.0, tol=1e-10)
+    end, vel = _rk4_oracle(g.as_stack(), s.as_stack(), 1.0, 400)
+    assert np.max(np.abs(path.endpoint.as_stack() - end)) <= 1e-10
+    assert np.max(np.abs(path.endpoint_velocity.as_stack() - vel)) <= 1e-10
+
+
+def test_exp_conformal_branch_is_continuous():
+    # lambda = 0 takes the series branch; lambda = 1e-9 the generic one.  The
+    # two endpoints differ by the first-order term p t D with p = 1 + t a / 4
+    c, t = -0.3, 1.0
+    d = np.diag((1.0, -1.0))
+    end0 = ebin_exp(GAMMA, constant_field(SPEC, c * np.eye(2)), t).endpoint.as_stack()
+    end1 = ebin_exp(GAMMA, constant_field(SPEC, c * np.eye(2) + 1e-9 * d), t).endpoint.as_stack()
+    p = 1.0 + t * (2.0 * c) / 4.0
+    first_order = 1e-9 * p * t * np.array([1.0, 0.0, -1.0])[:, None, None]
+    assert np.max(np.abs(end1 - end0 - first_order)) <= 1e-15
+
+
 def _q_density(g, v):
     det = g[..., 0] * g[..., 2] - g[..., 1] ** 2
     i0, i1, i2 = g[..., 2] / det, -g[..., 1] / det, g[..., 0] / det
@@ -143,7 +195,7 @@ def _bvp_minimizer(g0, g1, segments):
     """Discrete-energy path between fixed endpoints in the constant-field fiber.
 
     Dense piecewise-linear path, midpoint-rule energy, generic descent; stays
-    independent of the geodesic ODE used by the integrator under test.
+    independent of the closed form under test.
     """
 
     def energy(interior):
@@ -224,10 +276,52 @@ def test_log_local_injectivity_at_documented_radius():
     assert ebin_norm(GAMMA, s - s0) / ebin_norm(GAMMA, s0) <= 1e-6
 
 
-def test_log_iteration_budget_raises():
-    g = constant_metric(SPEC, np.array([[2.5, 0.8], [0.8, 1.7]]))
+def _angle_target(alpha, r2=1.3):
+    """Constant target at hyperbolic half-angle alpha from the identity."""
+    return constant_metric(SPEC, np.diag((r2 * np.exp(2 * alpha), r2 * np.exp(-2 * alpha))))
+
+
+def test_log_domain_edge_at_angle_pi():
+    # the log exists exactly for alpha < pi: just inside it round-trips,
+    # just outside no geodesic reaches the target
     with pytest.raises(NoConvergence):
-        ebin_log(GAMMA, g, tol=1e-12, max_iter=0)
+        ebin_log(GAMMA, _angle_target(np.pi + 1e-6), tol=1e-12)
+    inside = _angle_target(np.pi - 1e-6)
+    s = ebin_log(GAMMA, inside, tol=1e-12)
+    end = ebin_exp(GAMMA, s, 1.0).endpoint
+    assert ebin_norm(GAMMA, end.g - inside.g) <= 1e-12 * ebin_norm(GAMMA, inside.g)
+
+
+def _roundtrip_gaps(g, s):
+    """Target-space and velocity-space gaps of log(exp(s)), relative to |exp(s)| and |g|."""
+    end = ebin_exp(g, s, 1.0).endpoint
+    rec = ebin_log(g, end, tol=1e-12)
+    back = ebin_exp(g, rec, 1.0).endpoint
+    target_gap = ebin_norm(g, back.g - end.g) / ebin_norm(g, end.g)
+    return target_gap, ebin_norm(g, rec - s) / ebin_norm(g, g.g)
+
+
+@pytest.mark.parametrize("amplitude", [1e-6, 0.05, 0.5])
+def test_log_exp_roundtrip_curved(amplitude):
+    # near the identity the angle must come from asinh of the traceless part:
+    # arccosh(1 + eps) would leave a velocity error near sqrt(eps) |g|
+    g = _curved_base()
+    s = random_sym_tensor(g.spec, 12, amplitude=amplitude)
+    target_gap, velocity_gap = _roundtrip_gaps(g, s)
+    assert target_gap <= 1e-12
+    assert velocity_gap <= 1e-12
+
+
+def test_log_exp_roundtrip_large_angle():
+    # a = -8 and lambda = 2 tan(pi - 3) put every cell at alpha = 3
+    g = _curved_base()
+    gs = g.as_stack()
+    m = random_sym_tensor(g.spec, 13, amplitude=1.0)
+    m0 = SymTensorField.from_stack(g.spec, m.as_stack() - 0.5 * trace_pairing(g, g.g, m).values * gs)
+    unit = np.sqrt(0.5 * trace_pairing(g, m0, m0).values)
+    s = SymTensorField.from_stack(g.spec, -4.0 * gs + 2.0 * np.tan(np.pi - 3.0) * m0.as_stack() / unit)
+    target_gap, _ = _roundtrip_gaps(g, s)
+    assert target_gap <= 1e-12
 
 
 def test_relative_distance_scale():

@@ -14,6 +14,7 @@ from riemgrid.grid import (
     constant_field,
     constant_metric,
     identity_metric,
+    zero_tensor,
 )
 from riemgrid.sampling import divergence_free_tensor, random_sym_tensor, random_vector_field
 from riemgrid.slicing import (
@@ -109,6 +110,19 @@ def test_project_curved_base_meets_loose_tolerance_only():
     assert _divergence_defect(g, split.h) <= 1e-3 * _divergence_defect(g, s)
     with pytest.raises(SolverStall):
         berger_ebin_project(g, s, tol=1e-14)
+
+
+def test_project_curved_tolerance_is_relative_to_scale():
+    # the curved-base bound scales with div s: shrinking s must not turn a
+    # stall into a silent miss (here the split reaches only 3e-3 relative)
+    spec = GridSpec(16)
+    g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
+    s = random_sym_tensor(spec, 1001, amplitude=0.05)
+    for scale in (1.0, 0.01):
+        with pytest.raises(SolverStall):
+            berger_ebin_project(g, s * scale, tol=1e-4)
+    # an s with no divergence at all still splits
+    assert not np.any(berger_ebin_project(g, zero_tensor(spec), tol=1e-4).h.as_stack())
 
 
 # ---------------------------------------------------------------------------
