@@ -3,7 +3,8 @@
 Index conventions: lower indices are covariant, g^{ij} is the pointwise 2x2
 inverse, and all spatial derivatives use the shared 4th-order stencils from
 grid, so discrete identities degrade uniformly.  The flat metric passes
-through the same code path as any other metric.
+through the same code path as any other metric.  A MetricField is checked
+positive-definite at construction and immutable, so nothing here re-checks it.
 
 Sign convention for the orbit pairing: with (div S)_j = nabla_i S^i_j lowered
 back to a one-form, the duality reads
@@ -21,14 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PositivityLoss
 from .grid import (
     GridSpec,
     MetricField,
     ScalarField,
     SymTensorField,
     VectorField,
-    integrate,
     stencil_derivative,
 )
 
@@ -70,13 +69,6 @@ class ChristoffelField:
         row1 = [[u.c111.values, u.c112.values], [u.c112.values, u.c122.values]]
         row2 = [[u.c211.values, u.c212.values], [u.c212.values, u.c222.values]]
         return np.array([row1, row2])
-
-
-def _require_spd(g: MetricField) -> None:
-    a = g.g11.values
-    det = _det(g.as_stack())
-    if not (np.all(a > 0.0) and np.all(det > 0.0)):
-        raise PositivityLoss("metric is not positive-definite at every cell")
 
 
 def _det(stack: np.ndarray) -> np.ndarray:
@@ -134,19 +126,16 @@ def _chris_array(g: MetricField) -> np.ndarray:
 
 def metric_inverse(g: MetricField) -> SymTensorField:
     """Pointwise 2x2 inverse of the metric."""
-    _require_spd(g)
     return SymTensorField.from_stack(g.spec, _inv_stack(g))
 
 
 def volume_density(g: MetricField) -> ScalarField:
     """sqrt(det g) at every cell."""
-    _require_spd(g)
     return ScalarField(g.spec, _vol_values(g))
 
 
 def christoffels(g: MetricField) -> ChristoffelField:
     """Levi-Civita symbols c^k_ij = (1/2) g^{kl} (D_i g_lj + D_j g_li - D_l g_ij)."""
-    _require_spd(g)
     c = _chris_array(g)
     f = lambda a: ScalarField(g.spec, a)
     return ChristoffelField(
@@ -223,15 +212,16 @@ def _divergence_stack(g: MetricField, ss: np.ndarray) -> np.ndarray:
 
 def sharp(g: MetricField, w: OneFormField) -> VectorField:
     """Raise the index of a 1-form: X^i = g^{ij} w_j."""
-    _require_spd(g)
+    return VectorField.from_arrays(g.spec, *_sharp_stack(g, w.as_stack()))
+
+
+def _sharp_stack(g: MetricField, ws: np.ndarray) -> np.ndarray:
     inv = _inv_stack(g)
-    ws = w.as_stack()
-    return VectorField.from_arrays(g.spec, inv[0] * ws[0] + inv[1] * ws[1], inv[1] * ws[0] + inv[2] * ws[1])
+    return np.stack([inv[0] * ws[0] + inv[1] * ws[1], inv[1] * ws[0] + inv[2] * ws[1]])
 
 
 def flat(g: MetricField, x: VectorField) -> OneFormField:
     """Lower the index of a vector field: w_i = g_ij X^j."""
-    _require_spd(g)
     gs = g.as_stack()
     xs = x.as_stack()
     return OneFormField.from_arrays(g.spec, gs[0] * xs[0] + gs[1] * xs[1], gs[1] * xs[0] + gs[2] * xs[1])
@@ -239,7 +229,6 @@ def flat(g: MetricField, x: VectorField) -> OneFormField:
 
 def trace_pairing(g: MetricField, s: SymTensorField, t: SymTensorField) -> ScalarField:
     """Pointwise tr(g^{-1} s g^{-1} t)."""
-    _require_spd(g)
     return ScalarField(g.spec, _trace_pairing_values(_inv_stack(g), s.as_stack(), t.as_stack()))
 
 
@@ -267,7 +256,10 @@ def form_vector_pairing(w: OneFormField, x: VectorField) -> ScalarField:
 
 def vector_inner(g: MetricField, x: VectorField, y: VectorField) -> float:
     """Weighted L2 inner product of vector fields: integral g_ij X^i Y^j dvol."""
+    return _vector_inner_stack(g, x.as_stack(), y.as_stack())
+
+
+def _vector_inner_stack(g: MetricField, xs: np.ndarray, ys: np.ndarray) -> float:
     gs = g.as_stack()
-    xs, ys = x.as_stack(), y.as_stack()
     dens = gs[0] * xs[0] * ys[0] + gs[1] * (xs[0] * ys[1] + xs[1] * ys[0]) + gs[2] * xs[1] * ys[1]
-    return integrate(ScalarField(g.spec, dens * _vol_values(g)))
+    return float(g.spec.h ** 2 * np.sum(dens * _vol_values(g)))

@@ -127,7 +127,8 @@ def cmd_project(cfg: RunConfig):
         write_field(out / "x.rgf", split.x)
         write_field(out / "h.rgf", split.h)
     report = Report("project")
-    report.add("cg_iterations", split.iterations)
+    report.add("solver", split.method)
+    report.add("iterations", split.iterations)
     report.add("reconstruction_rel", recon_rel)
     report.add("divergence_rel", div_rel)
     report.add("orthogonality_defect", split.orthogonality_defect)
@@ -361,7 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--grid", type=int, default=32, help="cells per axis (default 32)")
     parser.add_argument("--seed", type=int, default=1, help="64-bit seed for generated fields")
-    parser.add_argument("--tol-solver", type=float, default=1e-10, help="conjugate-gradient tolerance")
+    parser.add_argument(
+        "--tol-solver", type=float, default=1e-10, help="splitting tolerance: divergence left in h over that of s"
+    )
     parser.add_argument("--tol-ode", type=float, default=1e-8, help="geodesic speed-drift tolerance")
     parser.add_argument("--tol-decompose", type=float, default=1e-6, help="decomposition tolerance")
     parser.add_argument("--radius", type=float, default=0.1, help="working radius for local charts")

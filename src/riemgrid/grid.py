@@ -108,10 +108,15 @@ def stencil_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     ax = axis - 1
-    p1 = np.roll(values, -1, axis=ax)
-    p2 = np.roll(values, -2, axis=ax)
-    m1 = np.roll(values, 1, axis=ax)
-    m2 = np.roll(values, 2, axis=ax)
+    n = values.shape[ax]
+    # wrap-padded by two cells on each side; shifted(k)[i] = values[(i + k) % n]
+    padded = np.take(values, np.arange(-2, n + 2), axis=ax, mode="wrap")
+
+    def shifted(k: int) -> np.ndarray:
+        window = slice(2 + k, 2 + k + n)
+        return padded[window] if ax == 0 else padded[:, window]
+
+    p1, p2, m1, m2 = shifted(1), shifted(2), shifted(-1), shifted(-2)
     # paired differences cancel bitwise on constant data
     return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
 

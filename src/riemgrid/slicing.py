@@ -2,10 +2,11 @@
 
 The tangent space at a metric g splits sigma-orthogonally into the orbit
 directions {L_X g} of the pullback action and the divergence-free tensors.
-berger_ebin_project computes that splitting with matrix-free conjugate
-gradients; slice_decompose inverts the local product chart, writing a nearby
-metric as pullback(phi, exp_g(h)) with div-free h; horizontal_lift removes the
-orbit component of a path's velocity step by step.  Isometry probing is
+berger_ebin_project computes that splitting matrix-free: by an exact FFT solve
+on constant bases, and by GMRES preconditioned with that solve on curved ones;
+slice_decompose inverts the local product chart, writing a nearby metric as
+pullback(phi, exp_g(h)) with div-free h; horizontal_lift removes the orbit
+component of a path's velocity step by step.  Isometry probing is
 restricted to an explicit finite candidate family (lattice translations
 composed with axis flips and the axis swap) that acts by exact sample
 permutation.
@@ -19,22 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import (
-    _divergence_stack,
-    _inv_stack,
-    _lie_stack,
-    _vol_values,
-)
+from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _vector_inner_stack
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import NoConvergence, SolverStall
-from .geodesics import (
-    _geodesic,
-    _sym_inner,
-    ebin_exp,
-    ebin_log,
-    ebin_norm,
-    relative_distance,
-)
+from .geodesics import _geodesic, _sym_inner, ebin_exp, ebin_log, ebin_norm, relative_distance
 from .grid import GridSpec, MetricField, ScalarField, SymTensorField, VectorField, interpolate
 
 
@@ -44,180 +33,190 @@ from .grid import GridSpec, MetricField, ScalarField, SymTensorField, VectorFiel
 
 @dataclass(frozen=True)
 class SplitResult:
-    """S = L_X g + h with h divergence-free; X is the zero-mean gauge generator."""
+    """S = L_X g + h with h divergence-free; X is the zero-mean gauge generator.
+
+    method names the solver: "fft" (exact, constant base, 0 iterations) or
+    "gmres" (curved base).
+    """
 
     x: VectorField
     h: SymTensorField
     orthogonality_defect: float
     iterations: int
-
-
-def _weighted_vec_inner(g: MetricField, xs: np.ndarray, ys: np.ndarray) -> float:
-    gs = g.as_stack()
-    dens = gs[0] * xs[0] * ys[0] + gs[1] * (xs[0] * ys[1] + xs[1] * ys[0]) + gs[2] * xs[1] * ys[1]
-    return float(g.spec.h ** 2 * np.sum(dens * _vol_values(g)))
-
-
-def _sharp_stack(g: MetricField, ws: np.ndarray) -> np.ndarray:
-    inv = _inv_stack(g)
-    return np.stack([inv[0] * ws[0] + inv[1] * ws[1], inv[1] * ws[0] + inv[2] * ws[1]])
+    method: str
 
 
 # |div s| below this fraction of |s| is stencil roundoff
 _DIV_ROUNDOFF = 1e-12
+# translations whose gain is below this fraction of the operator's smallest
+# non-zero gain are near-Killing: fitting them would cost three digits of
+# conditioning and move the gauge by an ill-determined translation
+_SV_FLOOR = 1e-3
+# GMRES: Krylov dimension cap and the relative residual that ends the solve
+_GMRES_MAX = 60
+_GMRES_RTOL = 1e-13
 
 
 def _is_constant_metric(g: MetricField) -> bool:
-    gs = g.as_stack()
-    return all(np.ptp(gs[k]) == 0.0 for k in range(3))
+    return bool(np.all(np.ptp(g.as_stack(), axis=(1, 2)) == 0.0))
 
 
-def _null_cluster_cut(w: np.ndarray) -> float:
-    """Eigenvalue cut separating the near-null artifact cluster from the physics.
+def _split_operator(g: MetricField, xs: np.ndarray) -> np.ndarray:
+    return _divergence_stack(g, _lie_stack(g, xs))
 
-    The duality defect detaches a handful of modes (near-Killing constants and
-    checkerboard remnants of the central stencils) from the elliptic spectrum
-    by several decades; the cut is placed at the widest logarithmic gap in the
-    lower quarter of the spectrum, falling back to a fixed relative floor when
-    no pronounced gap exists.
+
+@lru_cache(maxsize=8)
+def _fourier_solver(n: int, g11: float, g12: float, g22: float):
+    """Exact solve of div(L_X g) = b for the constant metric g, by FFT.
+
+    The stencil D acts on a wavenumber as i d, d_a = (8 sin t_a - sin 2t_a)/(6h),
+    so the operator is the 2x2 symbol S = -((d^T g^-1 d) g + d d^T).  S is
+    negative definite unless d = 0 (the constants and the checkerboards at
+    t_a in {0, pi}); there the inverse is taken as zero, so X has zero mean
+    and no checkerboard.  Returns (solve, smallest non-zero singular value of
+    S), the gain on the smoothest modes, which converges under refinement.
     """
-    dim = len(w)
-    floor = 1e-10 * w[-1]  # eigenvalues of A^T A: relative sv cut 1e-5
-    best_ratio, cut = 1e4, floor
-    for i in range(max(1, dim // 4)):
-        if w[i] <= 0.0:
-            continue
-        ratio = w[i + 1] / w[i]
-        if ratio > best_ratio:
-            best_ratio, cut = ratio, math.sqrt(w[i] * w[i + 1])
-    return max(cut, 0.0)
+
+    def symbol(theta: np.ndarray) -> np.ndarray:
+        d = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) * (n / 6.0)
+        d[np.abs(d) <= 1e-12 * np.max(np.abs(d))] = 0.0  # sin(pi) is not 0 in floating point
+        return d
+
+    d1 = symbol(2.0 * np.pi * np.fft.fftfreq(n))[:, None]
+    d2 = symbol(2.0 * np.pi * np.fft.rfftfreq(n))[None, :]
+    q = (g22 * d1 * d1 - 2.0 * g12 * d1 * d2 + g11 * d2 * d2) / (g11 * g22 - g12 * g12)
+    a, b, c = q * g11 + d1 * d1, q * g12 + d1 * d2, q * g22 + d2 * d2  # -S
+    det = a * c - b * b
+    scale = np.zeros_like(det)
+    np.divide(-1.0, det, out=scale, where=det > 0.0)
+    inv = (c * scale, -b * scale, a * scale)  # S^-1
+
+    def solve(bs: np.ndarray) -> np.ndarray:
+        bh = np.fft.rfft2(bs)
+        xh = np.stack([inv[0] * bh[0] + inv[1] * bh[1], inv[1] * bh[0] + inv[2] * bh[1]])
+        return np.fft.irfft2(xh, s=(n, n))
+
+    return solve, float(np.min((0.5 * (a + c) - np.hypot(0.5 * (a - c), b))[det > 0.0]))
 
 
 @lru_cache(maxsize=4)
-def _curved_div_solver(g: MetricField):
-    """Truncated least-squares solver for div(L_X g) = b on a non-constant base.
+def _preconditioner(g: MetricField):
+    """Approximate inverse of X -> div(L_X g) on a curved base, as a closure.
 
-    On curved coefficients the discrete operator is self-adjoint only up to
-    the stencil-duality defect, which both stalls conjugate gradients and
-    pushes a small cluster of singular values toward zero.  The operator
-    matrix is assembled once per base, the normal matrix eigendecomposed, and
-    solves apply the pseudo-inverse with the near-null cluster truncated, so
-    the returned field is smooth and the divergence residual sits at the
-    discretization floor.
+    Two levels.  The Fourier solve at the mean metric leaves out the constant
+    translations, which are not Killing on a curved base.  Less the Fourier
+    solve of their images, they are the operator's near-null directions, and
+    the part of the residual along their images is fitted by least squares,
+    dropping singular values below _SV_FLOOR of the symbol's smallest
+    non-zero one (so near-Killing translations stay out).  The remainder
+    goes through the Fourier solve.  The checkerboards are in neither range,
+    so no iterate carries them.
     """
     n = g.spec.n
-    dim = 2 * n * n
-    a_mat = np.empty((dim, dim))
-    e = np.zeros((2, n, n))
-    col = 0
-    for k in range(2):
-        for i in range(n):
-            for j in range(n):
-                e[k, i, j] = 1.0
-                a_mat[:, col] = _divergence_stack(g, _lie_stack(g, e)).ravel()
-                e[k, i, j] = 0.0
-                col += 1
-    m = a_mat.T @ a_mat
-    w, v = np.linalg.eigh(m)
-    keep = w > _null_cluster_cut(w)
-    v_keep = np.ascontiguousarray(v[:, keep])
-    w_keep = w[keep]
+    solve, sigma_min = _fourier_solver(n, *(float(np.mean(c)) for c in g.as_stack()))
+    units = np.zeros((2, 2, n, n))
+    units[0, 0] = units[1, 1] = 1.0 / n  # unit-norm translations
+    coarse = np.stack([e - solve(_split_operator(g, e)) for e in units])
+    images = np.stack([_split_operator(g, z).ravel() for z in coarse], axis=1)
+    u, sv, vt = np.linalg.svd(images, full_matrices=False)
+    keep = sv > _SV_FLOOR * sigma_min
+    u, sv, vt = u[:, keep], sv[keep], vt[keep]
 
-    def solve(b_stack: np.ndarray) -> np.ndarray:
-        y = a_mat.T @ b_stack.ravel()
-        coef = (v_keep.T @ y) / w_keep
-        return (v_keep @ coef).reshape(2, n, n)
+    def apply(r: np.ndarray) -> np.ndarray:
+        coef = u.T @ r.ravel()
+        shift = np.tensordot(vt.T @ (coef / sv), coarse, axes=1)
+        return shift + solve(r - (u @ coef).reshape(r.shape))
 
-    return solve
+    return apply
+
+
+def _gmres(apply_a, apply_m, b: np.ndarray) -> tuple:
+    """Right-preconditioned GMRES from 0 for A x = b with x = M y; returns (x, iterations).
+
+    It runs to the attainable floor: a relative residual of _GMRES_RTOL, a
+    residual that has not halved over 8 iterations (on a curved base b leaves
+    the range of A by the discretization defect), or _GMRES_MAX iterations.
+    """
+    beta = float(np.linalg.norm(b))
+    basis, rotations, history = [], [], [beta]  # history: residual norm per iteration
+    hess = np.zeros((_GMRES_MAX + 1, _GMRES_MAX))
+    rhs = np.zeros(_GMRES_MAX + 1)  # beta e_1, rotated along with hess
+    rhs[0] = beta
+    w, w_norm, k = b, beta, 0
+    while k < _GMRES_MAX and w_norm > 0.0:
+        basis.append(w / w_norm)
+        w = apply_a(apply_m(basis[k]))
+        for j, v in enumerate(basis):  # modified Gram-Schmidt
+            hess[j, k] = np.vdot(v, w)
+            w = w - hess[j, k] * v
+        w_norm = float(np.linalg.norm(w))
+        for j, (cs, sn) in enumerate(rotations):
+            hess[j, k], hess[j + 1, k] = cs * hess[j, k] + sn * hess[j + 1, k], cs * hess[j + 1, k] - sn * hess[j, k]
+        r = math.hypot(hess[k, k], w_norm)
+        if r == 0.0:
+            break
+        cs, sn = hess[k, k] / r, w_norm / r
+        rotations.append((cs, sn))
+        hess[k, k] = r
+        rhs[k + 1], rhs[k] = -sn * rhs[k], cs * rhs[k]
+        k += 1
+        history.append(abs(rhs[k]))
+        if history[k] <= _GMRES_RTOL * beta or (k >= 8 and history[k] > 0.5 * history[k - 8]):
+            break
+    if k == 0:
+        return np.zeros_like(b), 0
+    y = np.linalg.solve(np.triu(hess[:k, :k]), rhs[:k])
+    return apply_m(np.tensordot(y, np.array(basis[:k]), axes=1)), k
 
 
 def _one_form_norm(g: MetricField, ws: np.ndarray) -> float:
     xs = _sharp_stack(g, ws)
-    return math.sqrt(max(_weighted_vec_inner(g, xs, xs), 0.0))
+    return math.sqrt(max(_vector_inner_stack(g, xs, xs), 0.0))
 
 
-def _split_stacks(
-    g: MetricField, ss: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
-) -> tuple:
-    """Solve div(L_X g) = div(s) for the stack of X; returns (xs, iterations)."""
-    spec = g.spec
-    if max_iter is None:
-        max_iter = 10 * spec.n * spec.n
-
-    if not _is_constant_metric(g):
-        xs = _curved_div_solver(g)(_divergence_stack(g, ss))
-        return xs, 1
-
-    def apply_k(xs: np.ndarray) -> np.ndarray:
-        return -_sharp_stack(g, _divergence_stack(g, _lie_stack(g, xs)))
-
-    b = -_sharp_stack(g, _divergence_stack(g, ss))
-    xs = np.zeros_like(b)
-    r = b.copy()
-    rr = _weighted_vec_inner(g, r, r)
-    b_norm = math.sqrt(max(rr, 0.0))
-    # inputs that are already divergence-free stop on an absolute floor
-    s_scale = math.sqrt(max(_sym_inner(g, ss, ss), 0.0))
-    stop = tol * max(b_norm, s_scale)
-    iterations = 0
-    if b_norm > stop:
-        p = r.copy()
-        for it in range(1, max_iter + 1):
-            kp = apply_k(p)
-            pkp = _weighted_vec_inner(g, p, kp)
-            if pkp <= 0.0:
-                break  # numerically in the Killing kernel; current x is the solution
-            alpha = rr / pkp
-            xs = xs + alpha * p
-            r = r - alpha * kp
-            rr_new = _weighted_vec_inner(g, r, r)
-            iterations = it
-            if math.sqrt(max(rr_new, 0.0)) <= stop:
-                break
-            p = r + (rr_new / rr) * p
-            rr = rr_new
-        else:
-            raise SolverStall(f"conjugate gradients did not reach {tol:.1e} in {max_iter} iterations")
-
-    return xs, iterations
+def _split_stacks(g: MetricField, ss: np.ndarray) -> tuple:
+    """Solve div(L_X g) = div(s) for the stack of X; returns (xs, method, iterations)."""
+    b = _divergence_stack(g, ss)
+    if _is_constant_metric(g):
+        solve, _ = _fourier_solver(g.spec.n, *(float(c[0, 0]) for c in g.as_stack()))
+        return solve(b), "fft", 0
+    xs, iterations = _gmres(lambda xs: _split_operator(g, xs), _preconditioner(g), b)
+    return xs, "gmres", iterations
 
 
-def berger_ebin_project(
-    g: MetricField, s: SymTensorField, tol: float = 1e-10, max_iter: int | None = None
-) -> SplitResult:
+def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -> SplitResult:
     """Split s into an orbit-tangent part L_X g and a divergence-free part h.
 
     Solves div(L_X g) = div(s) for X.  On a constant-coefficient base the
-    operator X -> -sharp(div(L_X g)) is exactly self-adjoint and positive
-    semidefinite in the g-weighted vector inner product (stencil duality), and
-    matrix-free conjugate gradients from X = 0 stay orthogonal to the Killing
-    kernel, pinning the zero-mean gauge.  On a curved base the equation is
-    solved directly with the near-null cluster truncated, and the divergence
-    left in h must be at most tol times that of s: curved bases carry an
-    O(h^4)-duality floor, so a tol below that floor raises SolverStall (retry
-    with higher resolution or a looser tolerance).
+    operator is a Fourier multiplier with a 2x2 symbol per wavenumber, and the
+    FFT solve is exact; its kernel (constants and stencil checkerboards) is
+    left out, pinning the zero-mean gauge.  On a curved base GMRES,
+    preconditioned by that solve at the mean metric, runs to the
+    discretization floor whatever tol is; the divergence left in h must then
+    be at most tol times that of s.  Curved bases carry an O(h^4) duality
+    floor, so a tol below it raises SolverStall (retry with higher resolution
+    or a looser tolerance).
     """
     ss = s.as_stack()
-    xs, iterations = _split_stacks(g, ss, tol, max_iter)
-    if not _is_constant_metric(g):
+    xs, method, iterations = _split_stacks(g, ss)
+    if method == "gmres":
         div_s_norm = _one_form_norm(g, _divergence_stack(g, ss))
         achieved = _one_form_norm(g, _divergence_stack(g, ss - _lie_stack(g, xs)))
         # relative to div s, unless s is divergence-free to roundoff
         bound = tol * max(div_s_norm, _DIV_ROUNDOFF * ebin_norm(g, s))
         if achieved > bound:
             raise SolverStall(
-                f"direct solve left divergence {achieved:.3e} above bound {bound:.3e}"
+                f"GMRES left divergence {achieved:.3e} above bound {bound:.3e} after {iterations} iterations"
             )
-    return _finish_split(g, ss, xs, iterations)
+    return _finish_split(g, ss, xs, method, iterations)
 
 
 def _project_unchecked(g: MetricField, ss: np.ndarray) -> SplitResult:
     """Internal splitting without the divergence-bound verification."""
-    xs, iterations = _split_stacks(g, ss)
-    return _finish_split(g, ss, xs, iterations)
+    return _finish_split(g, ss, *_split_stacks(g, ss))
 
 
-def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, iterations: int) -> SplitResult:
+def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, method: str, iterations: int) -> SplitResult:
     # zero-mean gauge, applied only when the constant shift is exactly Killing
     c = np.array([np.mean(xs[0]), np.mean(xs[1])])
     if np.any(c != 0.0):
@@ -237,6 +236,7 @@ def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, iterations: in
         SymTensorField.from_stack(g.spec, hs),
         defect,
         iterations,
+        method,
     )
 
 
@@ -246,8 +246,7 @@ def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, iterations: in
 
 def _divergence_defect(g: MetricField, s: SymTensorField) -> float:
     """|div s| / |s|, both in the g-weighted norms; 0 for s = 0."""
-    ws = _divergence_stack(g, s.as_stack())
-    div_norm = math.sqrt(max(_weighted_vec_inner(g, _sharp_stack(g, ws), _sharp_stack(g, ws)), 0.0))
+    div_norm = _one_form_norm(g, _divergence_stack(g, s.as_stack()))
     s_norm = ebin_norm(g, s)
     if s_norm <= 1e-14 * ebin_norm(g, g.g):
         return 0.0

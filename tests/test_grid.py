@@ -13,6 +13,7 @@ from riemgrid.grid import (
     integrate,
     interpolate,
     partial_derivative,
+    stencil_derivative,
 )
 from riemgrid.errors import PositivityLoss
 
@@ -96,6 +97,19 @@ def test_derivative_transverse_axis_vanishes():
     spec = GridSpec(32)
     f = field_from(spec, lambda x, y: np.sin(2 * np.pi * x))
     assert np.max(np.abs(partial_derivative(f, 2).values)) <= 1e-12
+
+
+def test_stencil_matches_roll_form_bitwise():
+    # the wrap-padded stencil does the arithmetic of the np.roll form on the same values
+    rng = np.random.default_rng(5)
+    for n in (4, 5, 16, 33):
+        values = rng.standard_normal((n, n))
+        for axis in (1, 2):
+            ax = axis - 1
+            p1, p2 = np.roll(values, -1, axis=ax), np.roll(values, -2, axis=ax)
+            m1, m2 = np.roll(values, 1, axis=ax), np.roll(values, 2, axis=ax)
+            reference = (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * (1.0 / n))
+            assert np.array_equal(stencil_derivative(values, axis, 1.0 / n), reference)
 
 
 def test_integrate_constant():
