@@ -17,67 +17,49 @@ central stencils are skew-adjoint under the midpoint quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import (
-    GridSpec,
     MetricField,
     ScalarField,
     SymTensorField,
     VectorField,
+    _component,
+    _det,
+    _Field,
+    _inv,
     stencil_derivative,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class OneFormField:
+class OneFormField(_Field):
     """Covariant components (w1, w2) of a 1-form field."""
 
-    spec: GridSpec
-    w1: ScalarField
-    w2: ScalarField
-
-    @classmethod
-    def from_arrays(cls, spec, w1, w2) -> "OneFormField":
-        return cls(spec, ScalarField(spec, w1), ScalarField(spec, w2))
-
-    def as_stack(self) -> np.ndarray:
-        return np.stack([self.w1.values, self.w2.values])
-
-    def __sub__(self, other: "OneFormField") -> "OneFormField":
-        return OneFormField(self.spec, self.w1 - other.w1, self.w2 - other.w2)
+    _k = 2
+    w1 = _component(0)
+    w2 = _component(1)
 
 
-@dataclass(frozen=True, eq=False)
-class ChristoffelField:
+# stored order of the six symbols c^k_ij with i <= j, as (k, i, j) index arrays
+_CHRIS_STORED = ([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1])
+
+
+class ChristoffelField(_Field):
     """Levi-Civita symbols of a metric; six fields c^k_ij, symmetric in (i, j)."""
 
-    spec: GridSpec
-    c111: ScalarField
-    c112: ScalarField
-    c122: ScalarField
-    c211: ScalarField
-    c212: ScalarField
-    c222: ScalarField
+    _k = 6
+    c111 = _component(0)
+    c112 = _component(1)
+    c122 = _component(2)
+    c211 = _component(3)
+    c212 = _component(4)
+    c222 = _component(5)
 
     def as_array(self) -> np.ndarray:
         """Dense [k][i][j] layout, shape (2, 2, 2, n, n)."""
-        u = self
-        row1 = [[u.c111.values, u.c112.values], [u.c112.values, u.c122.values]]
-        row2 = [[u.c211.values, u.c212.values], [u.c212.values, u.c222.values]]
-        return np.array([row1, row2])
-
-
-def _det(stack: np.ndarray) -> np.ndarray:
-    return stack[0] * stack[2] - stack[1] ** 2
-
-
-def _inv(stack: np.ndarray) -> np.ndarray:
-    det = _det(stack)
-    return np.stack([stack[2] / det, -stack[1] / det, stack[0] / det])
+        return self.values[np.array([[[0, 1], [1, 2]], [[3, 4], [4, 5]]])]
 
 
 @lru_cache(maxsize=32)
@@ -126,7 +108,7 @@ def _chris_array(g: MetricField) -> np.ndarray:
 
 def metric_inverse(g: MetricField) -> SymTensorField:
     """Pointwise 2x2 inverse of the metric."""
-    return SymTensorField.from_stack(g.spec, _inv_stack(g))
+    return SymTensorField(g.spec, _inv_stack(g))
 
 
 def volume_density(g: MetricField) -> ScalarField:
@@ -136,16 +118,12 @@ def volume_density(g: MetricField) -> ScalarField:
 
 def christoffels(g: MetricField) -> ChristoffelField:
     """Levi-Civita symbols c^k_ij = (1/2) g^{kl} (D_i g_lj + D_j g_li - D_l g_ij)."""
-    c = _chris_array(g)
-    f = lambda a: ScalarField(g.spec, a)
-    return ChristoffelField(
-        g.spec, f(c[0, 0, 0]), f(c[0, 0, 1]), f(c[0, 1, 1]), f(c[1, 0, 0]), f(c[1, 0, 1]), f(c[1, 1, 1])
-    )
+    return ChristoffelField(g.spec, _chris_array(g)[_CHRIS_STORED])
 
 
 def lie_derivative_metric(g: MetricField, x: VectorField) -> SymTensorField:
     """(L_X g)_ij = X^k D_k g_ij + g_kj D_i X^k + g_ik D_j X^k."""
-    return SymTensorField.from_stack(g.spec, _lie_stack(g, x.as_stack()))
+    return SymTensorField(g.spec, _lie_stack(g, x.values))
 
 
 def _lie_stack(g: MetricField, xs: np.ndarray) -> np.ndarray:
@@ -172,7 +150,7 @@ def divergence(g: MetricField, s: SymTensorField) -> OneFormField:
     Both indices of s are raised with g^{-1}, nabla_i is applied with the
     Levi-Civita symbols of g, and the result is lowered back with g.
     """
-    return OneFormField.from_arrays(g.spec, *_divergence_stack(g, s.as_stack()))
+    return OneFormField(g.spec, _divergence_stack(g, s.values))
 
 
 def _divergence_stack(g: MetricField, ss: np.ndarray) -> np.ndarray:
@@ -212,7 +190,7 @@ def _divergence_stack(g: MetricField, ss: np.ndarray) -> np.ndarray:
 
 def sharp(g: MetricField, w: OneFormField) -> VectorField:
     """Raise the index of a 1-form: X^i = g^{ij} w_j."""
-    return VectorField.from_arrays(g.spec, *_sharp_stack(g, w.as_stack()))
+    return VectorField(g.spec, _sharp_stack(g, w.values))
 
 
 def _sharp_stack(g: MetricField, ws: np.ndarray) -> np.ndarray:
@@ -223,13 +201,13 @@ def _sharp_stack(g: MetricField, ws: np.ndarray) -> np.ndarray:
 def flat(g: MetricField, x: VectorField) -> OneFormField:
     """Lower the index of a vector field: w_i = g_ij X^j."""
     gs = g.as_stack()
-    xs = x.as_stack()
-    return OneFormField.from_arrays(g.spec, gs[0] * xs[0] + gs[1] * xs[1], gs[1] * xs[0] + gs[2] * xs[1])
+    xs = x.values
+    return OneFormField(g.spec, np.stack([gs[0] * xs[0] + gs[1] * xs[1], gs[1] * xs[0] + gs[2] * xs[1]]))
 
 
 def trace_pairing(g: MetricField, s: SymTensorField, t: SymTensorField) -> ScalarField:
     """Pointwise tr(g^{-1} s g^{-1} t)."""
-    return ScalarField(g.spec, _trace_pairing_values(_inv_stack(g), s.as_stack(), t.as_stack()))
+    return ScalarField(g.spec, _trace_pairing_values(_inv_stack(g), s.values, t.values))
 
 
 def _trace_pairing_values(inv: np.ndarray, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -251,12 +229,13 @@ def _sym_product(p: np.ndarray, q: np.ndarray) -> tuple:
 
 def form_vector_pairing(w: OneFormField, x: VectorField) -> ScalarField:
     """Pointwise w_j X^j."""
-    return ScalarField(w.spec, w.w1.values * x.v1.values + w.w2.values * x.v2.values)
+    ws, xs = w.values, x.values
+    return ScalarField(w.spec, ws[0] * xs[0] + ws[1] * xs[1])
 
 
 def vector_inner(g: MetricField, x: VectorField, y: VectorField) -> float:
     """Weighted L2 inner product of vector fields: integral g_ij X^i Y^j dvol."""
-    return _vector_inner_stack(g, x.as_stack(), y.as_stack())
+    return _vector_inner_stack(g, x.values, y.values)
 
 
 def _vector_inner_stack(g: MetricField, xs: np.ndarray, ys: np.ndarray) -> float:

@@ -23,6 +23,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _lattice_mover,
     interpolate,
     stencil_derivative,
 )
@@ -43,12 +44,12 @@ class DiffeoGrid:
 
     def lattice_shift(self) -> tuple[int, int] | None:
         """Cell shift (k1, k2) if this map is exactly a lattice translation."""
-        return _lattice_shift(self.spec, self.u.as_stack())
+        return _lattice_shift(self.spec, self.u.values)
 
     def points(self) -> np.ndarray:
         """Forward images of the cell centers, shape (2, n, n), not reduced mod 1."""
         x, y = self.spec.cell_centers()
-        return np.stack([x, y]) + self.u.as_stack()
+        return np.stack([x, y]) + self.u.values
 
 
 def _constant_displacement(us: np.ndarray) -> np.ndarray | None:
@@ -89,11 +90,10 @@ def _build(spec: GridSpec, us: np.ndarray) -> DiffeoGrid:
     if np.any(_forward_jacobian_dets(spec, us) <= 0.0):
         raise JacobianSignFlip("pointwise Jacobian determinant is not positive")
 
-    u = VectorField.from_arrays(spec, us[0], us[1])
+    u = VectorField(spec, us)
     c = _constant_displacement(us)
     if c is not None:
-        v = VectorField.from_arrays(spec, np.full_like(us[0], -c[0]), np.full_like(us[1], -c[1]))
-        return DiffeoGrid(spec, u, v, 0.0)
+        return DiffeoGrid(spec, u, VectorField(spec, np.broadcast_to(-c[:, None, None], us.shape)), 0.0)
 
     x, y = spec.cell_centers()
     vs = -us.copy()
@@ -109,11 +109,11 @@ def _build(spec: GridSpec, us: np.ndarray) -> DiffeoGrid:
     residual = float(np.max(np.abs(_sample_vector(u, x + vs[0], y + vs[1]) + vs)))
     if residual > _CONSISTENCY_BOUND:
         raise NoConvergence(f"inverse consistency {residual:.3e} above bound")
-    return DiffeoGrid(spec, u, VectorField.from_arrays(spec, vs[0], vs[1]), residual)
+    return DiffeoGrid(spec, u, VectorField(spec, vs), residual)
 
 
 def from_displacement(spec: GridSpec, u: VectorField) -> DiffeoGrid:
-    return _build(spec, u.as_stack())
+    return _build(spec, u.values)
 
 
 def identity_diffeo(spec: GridSpec) -> DiffeoGrid:
@@ -131,21 +131,21 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
     """phi o psi, sampled at cell centers; the inverse is recomputed, not composed."""
     if phi.spec != psi.spec:
         raise ValueError("cannot compose maps on different grids")
-    cu, cv = _constant_displacement(phi.u.as_stack()), _constant_displacement(psi.u.as_stack())
+    cu, cv = _constant_displacement(phi.u.values), _constant_displacement(psi.u.values)
     if cu is not None and cv is not None:
         return translation(phi.spec, cu + cv)
     x, y = phi.spec.cell_centers()
-    us_psi = psi.u.as_stack()
+    us_psi = psi.u.values
     us = us_psi + _sample_vector(phi.u, x + us_psi[0], y + us_psi[1])
     return _build(phi.spec, us)
 
 
 def invert(phi: DiffeoGrid) -> DiffeoGrid:
     """phi^{-1}: promotes the cached inverse displacement to a forward one."""
-    c = _constant_displacement(phi.u.as_stack())
+    c = _constant_displacement(phi.u.values)
     if c is not None:
         return translation(phi.spec, -c)
-    return _build(phi.spec, phi.v.as_stack())
+    return _build(phi.spec, phi.v.values)
 
 
 def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> DiffeoGrid:
@@ -167,7 +167,7 @@ def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> Diff
     dt = t / n_steps
 
     def vel(q: np.ndarray) -> np.ndarray:
-        return np.stack([interpolate(x_field.v1, q[0], q[1]), interpolate(x_field.v2, q[0], q[1])])
+        return _sample_vector(x_field, q[0], q[1])
 
     for _ in range(n_steps):
         k1 = vel(p)
@@ -178,10 +178,6 @@ def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> Diff
         if not np.all(np.isfinite(p)):
             raise StepFailure("flow integration produced non-finite positions")
     return _build(spec, p - np.stack([x, y]))
-
-
-def _roll_field(values: np.ndarray, shift: tuple[int, int]) -> np.ndarray:
-    return np.roll(values, shift, axis=(0, 1))
 
 
 def pullback(phi: DiffeoGrid, field):
@@ -197,17 +193,10 @@ def pullback(phi: DiffeoGrid, field):
 
     shift = phi.lattice_shift()
     if shift is not None:
-        if isinstance(field, ScalarField):
-            return ScalarField(spec, _roll_field(field.values, shift))
-        return SymTensorField.from_arrays(
-            spec,
-            _roll_field(field.s11.values, shift),
-            _roll_field(field.s12.values, shift),
-            _roll_field(field.s22.values, shift),
-        )
+        return type(field)(spec, _lattice_mover(field.values, "id")(shift))
 
     x, y = spec.cell_centers()
-    vs = phi.v.as_stack()
+    vs = phi.v.values
     bx, by = x + vs[0], y + vs[1]
     if isinstance(field, ScalarField):
         return ScalarField(spec, interpolate(field, bx, by))
@@ -217,9 +206,7 @@ def pullback(phi: DiffeoGrid, field):
     j12 = stencil_derivative(vs[0], 2, h)
     j21 = stencil_derivative(vs[1], 1, h)
     j22 = 1.0 + stencil_derivative(vs[1], 2, h)
-    a = interpolate(field.s11, bx, by)
-    b = interpolate(field.s12, bx, by)
-    c = interpolate(field.s22, bx, by)
+    a, b, c = (interpolate(comp, bx, by) for comp in (field.s11, field.s12, field.s22))
     # columns of J are the transported basis vectors; congruence J^T g J
     s11 = j11 * (a * j11 + b * j21) + j21 * (b * j11 + c * j21)
     s12 = j11 * (a * j12 + b * j22) + j21 * (b * j12 + c * j22)

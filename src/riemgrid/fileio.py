@@ -29,25 +29,35 @@ _KIND_COMPONENTS = {
     "diffeo": ("u1", "u2"),
 }
 
+_KIND_TYPES = {
+    "scalar": ScalarField,
+    "vector": VectorField,
+    "symtensor": SymTensorField,
+    "metric": MetricField,
+}
 
-def _kind_and_arrays(field):
-    if isinstance(field, MetricField):
-        return "metric", [field.g11.values, field.g12.values, field.g22.values]
-    if isinstance(field, SymTensorField):
-        return "symtensor", [field.s11.values, field.s12.values, field.s22.values]
-    if isinstance(field, VectorField):
-        return "vector", [field.v1.values, field.v2.values]
-    if isinstance(field, ScalarField):
-        return "scalar", [field.values]
-    if isinstance(field, DiffeoGrid):
-        return "diffeo", [field.u.v1.values, field.u.v2.values]
+
+def _kind_and_stack(field):
+    if isinstance(field, DiffeoGrid):  # the forward displacement; the inverse is recomputed on read
+        return "diffeo", field.u.as_stack()
+    for kind, cls in _KIND_TYPES.items():
+        if isinstance(field, cls):
+            return kind, field.as_stack()
     raise TypeError(f"cannot serialize {type(field).__name__}")
+
+
+def _from_stack(kind: str, spec: GridSpec, data: np.ndarray):
+    if kind == "scalar":
+        return ScalarField(spec, data[0])
+    if kind == "diffeo":
+        return from_displacement(spec, VectorField(spec, data))
+    return _KIND_TYPES[kind].from_stack(spec, data)
 
 
 def write_field(path, field, meta: dict | None = None) -> None:
     """Write a field file; meta entries become extra `key = value` header lines."""
-    kind, arrays = _kind_and_arrays(field)
-    n = arrays[0].shape[0]
+    kind, stack = _kind_and_stack(field)
+    n = stack.shape[-1]
     header = _io.StringIO()
     header.write(f"{_MAGIC} {_VERSION}\n")
     header.write(f"kind = {kind}\n")
@@ -58,8 +68,7 @@ def write_field(path, field, meta: dict | None = None) -> None:
     header.write("---\n")
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("ascii"))
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(stack, dtype="<f8").tobytes())
 
 
 def _parse_header(raw: bytes, path) -> tuple:
@@ -115,18 +124,8 @@ def read_field_meta(path):
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{path}: payload contains non-finite samples")
 
-    spec = GridSpec(n)
     try:
-        if kind == "scalar":
-            field = ScalarField(spec, data[0])
-        elif kind == "vector":
-            field = VectorField.from_arrays(spec, data[0], data[1])
-        elif kind == "symtensor":
-            field = SymTensorField.from_arrays(spec, data[0], data[1], data[2])
-        elif kind == "metric":
-            field = MetricField(SymTensorField.from_arrays(spec, data[0], data[1], data[2]))
-        else:  # diffeo: the cached inverse is reconstructed, not stored
-            field = from_displacement(spec, VectorField.from_arrays(spec, data[0], data[1]))
+        field = _from_stack(kind, GridSpec(n), data)
     except PositivityLoss as e:
         raise ValidationError(f"{path}: {e}") from e
     except RiemgridError as e:

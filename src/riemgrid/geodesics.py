@@ -25,13 +25,14 @@ reaches no polar angle at or beyond pi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _det, _inv, _inv_stack, _trace_pairing_values, _vol_values
+from .calculus import _inv_stack, _trace_pairing_values, _vol_values
 from .errors import NoConvergence, PositivityLoss, ToleranceNotMet
-from .grid import MetricField, SymTensorField
+from .grid import MetricField, SymTensorField, _det, _inv
 
 # sample times of a returned path: the speed check runs between them
 _SAMPLES = 17
@@ -41,7 +42,7 @@ _APEX = 64.0 * np.finfo(np.float64).eps
 
 def ebin_inner(g: MetricField, s: SymTensorField, t: SymTensorField) -> float:
     """sigma_g(S, T): integral of tr(g^{-1} S g^{-1} T) against dvol(g)."""
-    return _sym_inner(g, s.as_stack(), t.as_stack())
+    return _sym_inner(g, s.values, t.values)
 
 
 def _sym_inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> float:
@@ -50,8 +51,13 @@ def _sym_inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> float:
     return float(g.spec.h ** 2 * np.sum(vals))
 
 
+def _sym_norm(g: MetricField, a: np.ndarray) -> float:
+    """ebin_norm on a (3, n, n) stack."""
+    return math.sqrt(max(_sym_inner(g, a, a), 0.0))
+
+
 def ebin_norm(g: MetricField, s: SymTensorField) -> float:
-    return float(np.sqrt(max(ebin_inner(g, s, s), 0.0)))
+    return _sym_norm(g, s.values)
 
 
 def relative_distance(base: MetricField, other: MetricField) -> float:
@@ -142,14 +148,14 @@ def ebin_exp(g: MetricField, s: SymTensorField, t_end: float = 1.0, tol: float =
     (ToleranceNotMet otherwise).
     """
     spec = g.spec
-    if t_end == 0.0 or not np.any(s.as_stack()):
+    if t_end == 0.0 or not np.any(s.values):
         return GeodesicPath(g, s, (GeodesicSample(0.0, g, s), GeodesicSample(t_end, g, s)), 0, 0.0)
     times = np.linspace(0.0, t_end, _SAMPLES)
-    points, velocities = _geodesic(g.as_stack(), s.as_stack(), times[:, None, None], velocity=True)
+    points, velocities = _geodesic(g.as_stack(), s.values, times[:, None, None], velocity=True)
     samples = [GeodesicSample(0.0, g, s)]
     for t, point, vel in zip(times[1:], points[1:], velocities[1:]):
         metric = MetricField.from_stack(spec, point)
-        samples.append(GeodesicSample(float(t), metric, SymTensorField.from_stack(spec, vel)))
+        samples.append(GeodesicSample(float(t), metric, SymTensorField(spec, vel)))
 
     speed0 = ebin_inner(g, s, s)
     drift = 0.0
@@ -192,7 +198,7 @@ def ebin_log(g_base: MetricField, g_target: MetricField, tol: float = 1e-8) -> S
     s = np.stack([2.0 * p_minus_1 * g[j] + scale * k0[j] for j in range(3)])
 
     miss = _geodesic(g, s, 1.0) - k
-    mismatch = np.sqrt(max(_sym_inner(g_base, miss, miss), 0.0))
+    mismatch = _sym_norm(g_base, miss)
     if mismatch > tol * max(ebin_norm(g_base, g_target.g), 1e-300):
         raise NoConvergence(f"closed-form log missed the target by {mismatch:.3e} (tol {tol:.3e})")
-    return SymTensorField.from_stack(spec, s)
+    return SymTensorField(spec, s)

@@ -4,8 +4,14 @@ Samples live at cell centers ((i+1/2)h, (j+1/2)h) with h = 1/n, axis 0 = x,
 axis 1 = y.  Interpolation is a periodic interpolating cubic spline (exact at
 the nodes, exact on constants), differentiation is the 4th-order central
 stencil with wraparound, and quadrature is the midpoint rule, which is
-spectrally accurate for smooth periodic integrands.  All field values are
-immutable after construction; every operation here is a pure function.
+spectrally accurate for smooth periodic integrands.
+
+A field stores its samples as one read-only float64 array: (n, n) for a
+scalar, (k, n, n) for a field with k components, in the order the component
+names list them (v1 v2, s11 s12 s22, ...).  The array is validated and copied
+once, at construction, so field values are immutable and shared freely;
+as_stack() returns it and each named component is a cached ScalarField view
+of one slice.  Every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -39,10 +45,10 @@ class GridSpec:
         return np.meshgrid(c, c, indexing="ij")
 
 
-def _frozen(values: np.ndarray, n: int) -> np.ndarray:
+def _frozen(values: np.ndarray, shape: tuple) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (n, n):
-        raise ValueError(f"expected {(n, n)} samples, got {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"expected {shape} samples, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field contains non-finite samples")
     arr = arr.copy()
@@ -51,32 +57,66 @@ def _frozen(values: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
-    """n x n real samples at cell centers."""
+class _Field:
+    """Samples of a field with _k components in one read-only array.
+
+    The array has shape (_k, n, n), or (n, n) for _k = 0 (a scalar).
+    """
 
     spec: GridSpec
     values: np.ndarray
+    _k = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, self.spec.n))
+        n = self.spec.n
+        shape = (self._k, n, n) if self._k else (n, n)
+        object.__setattr__(self, "values", _frozen(self.values, shape))
+
+    @classmethod
+    def _wrap(cls, spec: GridSpec, frozen: np.ndarray):
+        """A field over an already validated read-only array, shared without a copy."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "spec", spec)
+        object.__setattr__(field, "values", frozen)
+        return field
+
+    @classmethod
+    def from_stack(cls, spec: GridSpec, stack: np.ndarray):
+        return cls(spec, stack)
+
+    @classmethod
+    def from_arrays(cls, spec: GridSpec, *arrays):
+        return cls(spec, np.stack(arrays))
+
+    def as_stack(self) -> np.ndarray:
+        return self.values
+
+    def __add__(self, other):
+        return type(self)(self.spec, self.values + other.values)
+
+    def __sub__(self, other):
+        return type(self)(self.spec, self.values - other.values)
+
+    def __mul__(self, a: float):
+        return type(self)(self.spec, self.values * a)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.spec, -self.values)
+
+
+class ScalarField(_Field):
+    """n x n real samples at cell centers."""
 
     @cached_property
     def _spline_coef(self) -> np.ndarray:
         return ndimage.spline_filter(self.values, order=3, mode="grid-wrap")
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.spec, self.values + other.values)
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.spec, self.values - other.values)
-
-    def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.spec, self.values * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.spec, -self.values)
+def _component(index: int) -> cached_property:
+    """One stored component as a ScalarField view, cached with its spline coefficients."""
+    return cached_property(lambda field: ScalarField._wrap(field.spec, field.values[index]))
 
 
 def interpolate(f: ScalarField, x, y):
@@ -126,72 +166,35 @@ def integrate(f: ScalarField) -> float:
     return float(f.spec.h ** 2 * np.sum(f.values))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField:
+class VectorField(_Field):
     """Contravariant components (v1, v2) of a tangent vector field."""
 
-    spec: GridSpec
-    v1: ScalarField
-    v2: ScalarField
-
-    @classmethod
-    def from_arrays(cls, spec: GridSpec, v1, v2) -> "VectorField":
-        return cls(spec, ScalarField(spec, v1), ScalarField(spec, v2))
-
-    def as_stack(self) -> np.ndarray:
-        return np.stack([self.v1.values, self.v2.values])
+    _k = 2
+    v1 = _component(0)
+    v2 = _component(1)
 
     def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.v1.values)), np.max(np.abs(self.v2.values))))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.spec, self.v1 + other.v1, self.v2 + other.v2)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.spec, self.v1 - other.v1, self.v2 - other.v2)
-
-    def __mul__(self, a: float) -> "VectorField":
-        return VectorField(self.spec, self.v1 * a, self.v2 * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return self * -1.0
+        return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True, eq=False)
-class SymTensorField:
+class SymTensorField(_Field):
     """Covariant symmetric 2-tensor with stored components s11, s12, s22."""
 
-    spec: GridSpec
-    s11: ScalarField
-    s12: ScalarField
-    s22: ScalarField
+    _k = 3
+    s11 = _component(0)
+    s12 = _component(1)
+    s22 = _component(2)
 
-    @classmethod
-    def from_arrays(cls, spec: GridSpec, s11, s12, s22) -> "SymTensorField":
-        return cls(spec, ScalarField(spec, s11), ScalarField(spec, s12), ScalarField(spec, s22))
 
-    @classmethod
-    def from_stack(cls, spec: GridSpec, stack: np.ndarray) -> "SymTensorField":
-        return cls.from_arrays(spec, stack[0], stack[1], stack[2])
+def _det(stack: np.ndarray) -> np.ndarray:
+    """Pointwise determinant of a symmetric (3, ...) stack."""
+    return stack[0] * stack[2] - stack[1] ** 2
 
-    def as_stack(self) -> np.ndarray:
-        return np.stack([self.s11.values, self.s12.values, self.s22.values])
 
-    def __add__(self, other: "SymTensorField") -> "SymTensorField":
-        return SymTensorField(self.spec, self.s11 + other.s11, self.s12 + other.s12, self.s22 + other.s22)
-
-    def __sub__(self, other: "SymTensorField") -> "SymTensorField":
-        return SymTensorField(self.spec, self.s11 - other.s11, self.s12 - other.s12, self.s22 - other.s22)
-
-    def __mul__(self, a: float) -> "SymTensorField":
-        return SymTensorField(self.spec, self.s11 * a, self.s12 * a, self.s22 * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SymTensorField":
-        return self * -1.0
+def _inv(stack: np.ndarray) -> np.ndarray:
+    """Pointwise inverse of a symmetric (3, ...) stack."""
+    det = _det(stack)
+    return np.stack([stack[2] / det, -stack[1] / det, stack[0] / det])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +204,8 @@ class MetricField:
     g: SymTensorField
 
     def __post_init__(self):
-        a, det = self.g.s11.values, _det_of(self.g)
-        if not (np.all(a > 0.0) and np.all(det > 0.0)):
+        gs = self.g.values
+        if not (np.all(gs[0] > 0.0) and np.all(_det(gs) > 0.0)):
             raise PositivityLoss("metric is not positive-definite at every cell")
 
     @property
@@ -222,15 +225,36 @@ class MetricField:
         return self.g.s22
 
     def as_stack(self) -> np.ndarray:
-        return self.g.as_stack()
+        return self.g.values
 
     @classmethod
     def from_stack(cls, spec: GridSpec, stack: np.ndarray) -> "MetricField":
-        return cls(SymTensorField.from_stack(spec, stack))
+        return cls(SymTensorField(spec, stack))
 
 
-def _det_of(s: SymTensorField) -> np.ndarray:
-    return s.s11.values * s.s22.values - s.s12.values ** 2
+def _lattice_mover(values: np.ndarray, flip: str):
+    """Exact lattice motion of scalar or symmetric-tensor samples, as shift -> moved samples.
+
+    flip is "id", "fx", "fy" (negate x or y) or "swap" (exchange x and y).  It
+    acts once, by slicing or transposing the grid axes plus the sign of s12 or
+    the exchange of s11 and s22 that it implies on a (3, n, n) stack; the
+    returned function then rolls the flipped samples by a cell shift
+    (b1, b2), so cell (i, j) receives the flipped sample at
+    ((i - b1) % n, (j - b2) % n).
+    """
+    if flip != "id" and values.ndim == 3 and len(values) != 3:
+        raise ValueError("flips move only scalar and symmetric-tensor samples")
+    if flip == "fx":
+        values = values[..., ::-1, :]
+    elif flip == "fy":
+        values = values[..., ::-1]
+    elif flip == "swap":
+        values = np.swapaxes(values, -2, -1)
+    if values.ndim == 3 and flip in ("fx", "fy"):
+        values = np.stack([values[0], -values[1], values[2]])
+    elif values.ndim == 3 and flip == "swap":
+        values = values[::-1]
+    return lambda shift: np.roll(values, shift, axis=(-2, -1))
 
 
 def constant_scalar(spec: GridSpec, c: float) -> ScalarField:
@@ -243,17 +267,13 @@ def constant_field(spec: GridSpec, m) -> SymTensorField:
     scale = max(np.max(np.abs(m)), 1.0)
     if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12 * scale:
         raise ValueError("m must be a symmetric 2x2 matrix")
-    return SymTensorField(
-        spec,
-        constant_scalar(spec, m[0, 0]),
-        constant_scalar(spec, 0.5 * (m[0, 1] + m[1, 0])),
-        constant_scalar(spec, m[1, 1]),
-    )
+    comps = np.array([m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1]])
+    return SymTensorField(spec, np.broadcast_to(comps[:, None, None], (3, spec.n, spec.n)))
 
 
 def constant_vector(spec: GridSpec, v) -> VectorField:
     v = np.asarray(v, dtype=np.float64)
-    return VectorField(spec, constant_scalar(spec, v[0]), constant_scalar(spec, v[1]))
+    return VectorField(spec, np.broadcast_to(v[:, None, None], (2, spec.n, spec.n)))
 
 
 def constant_metric(spec: GridSpec, m) -> MetricField:

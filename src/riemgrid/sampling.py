@@ -72,6 +72,13 @@ def band_limited_scalar(
     With period_cells set, the field is synthesized on one block of that many
     cells and tiled, making it bitwise periodic under the block translation.
     """
+    return ScalarField(spec, _band_limited(spec, stream, max_mode, amplitude, period_cells))
+
+
+def _band_limited(
+    spec: GridSpec, stream: DrawStream, max_mode: int, amplitude: float, period_cells: int | None = None
+) -> np.ndarray:
+    """The samples of band_limited_scalar."""
     n = spec.n
     block = n if period_cells is None else period_cells
     if n % block != 0:
@@ -89,7 +96,7 @@ def band_limited_scalar(
         f *= amplitude / scale
     if block != n:
         f = np.tile(f, (n // block, n // block))
-    return ScalarField(spec, f)
+    return f
 
 
 def random_vector_field(
@@ -103,20 +110,18 @@ def random_vector_field(
     stream = DrawStream(seed)
     comps = []
     for _ in range(2):
-        f = band_limited_scalar(spec, stream, max_mode, amplitude, period_cells)
-        v = f.values
+        v = _band_limited(spec, stream, max_mode, amplitude, period_cells)
         if zero_mean:
             v = v - np.mean(v)
         comps.append(v)
-    return VectorField.from_arrays(spec, comps[0], comps[1])
+    return VectorField.from_arrays(spec, *comps)
 
 
 def random_sym_tensor(
     spec: GridSpec, seed: int, max_mode: int = 4, amplitude: float = 1.0
 ) -> SymTensorField:
     stream = DrawStream(seed)
-    comps = [band_limited_scalar(spec, stream, max_mode, amplitude) for _ in range(3)]
-    return SymTensorField(spec, comps[0], comps[1], comps[2])
+    return SymTensorField.from_arrays(spec, *(_band_limited(spec, stream, max_mode, amplitude) for _ in range(3)))
 
 
 def random_metric_near_identity(spec: GridSpec, seed: int, amplitude: float, max_mode: int = 4):
@@ -138,19 +143,11 @@ def divergence_free_tensor(
     shift operators commute.
     """
     stream = DrawStream(seed)
-    psi = band_limited_scalar(spec, stream, max_mode, 1.0)
+    psi = _band_limited(spec, stream, max_mode, 1.0)
     h = spec.h
-    dx = stencil_derivative(psi.values, 1, h)
-    dy = stencil_derivative(psi.values, 2, h)
-    s11 = stencil_derivative(dy, 2, h)
-    s12 = -stencil_derivative(dx, 2, h)
-    s22 = stencil_derivative(dx, 1, h)
-    c11 = stream.next_symmetric()
-    c12 = stream.next_symmetric()
-    c22 = stream.next_symmetric()
-    scale = max(np.max(np.abs(s11)), np.max(np.abs(s12)), np.max(np.abs(s22)), 1e-300)
-    s11 = s11 / scale + c11
-    s12 = s12 / scale + c12
-    s22 = s22 / scale + c22
-    rescale = amplitude / max(np.max(np.abs(s11)), np.max(np.abs(s12)), np.max(np.abs(s22)))
-    return SymTensorField.from_arrays(spec, s11 * rescale, s12 * rescale, s22 * rescale)
+    dx = stencil_derivative(psi, 1, h)
+    dy = stencil_derivative(psi, 2, h)
+    s = np.stack([stencil_derivative(dy, 2, h), -stencil_derivative(dx, 2, h), stencil_derivative(dx, 1, h)])
+    const = np.array([stream.next_symmetric() for _ in range(3)])
+    s = s / max(np.max(np.abs(s)), 1e-300) + const[:, None, None]
+    return SymTensorField(spec, s * (amplitude / np.max(np.abs(s))))

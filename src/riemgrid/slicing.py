@@ -23,8 +23,8 @@ import numpy as np
 from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _vector_inner_stack
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import NoConvergence, SolverStall
-from .geodesics import _geodesic, _sym_inner, ebin_exp, ebin_log, ebin_norm, relative_distance
-from .grid import GridSpec, MetricField, ScalarField, SymTensorField, VectorField, interpolate
+from .geodesics import _geodesic, _sym_inner, _sym_norm, ebin_exp, ebin_log, ebin_norm, relative_distance
+from .grid import GridSpec, MetricField, SymTensorField, VectorField, _lattice_mover, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
     floor, so a tol below it raises SolverStall (retry with higher resolution
     or a looser tolerance).
     """
-    ss = s.as_stack()
+    ss = s.values
     xs, method, iterations = _split_stacks(g, ss)
     if method == "gmres":
         div_s_norm = _one_form_norm(g, _divergence_stack(g, ss))
@@ -226,18 +226,9 @@ def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, method: str, i
 
     lie = _lie_stack(g, xs)
     hs = ss - lie
-    denom = max(
-        math.sqrt(max(_sym_inner(g, lie, lie), 0.0)) * math.sqrt(max(_sym_inner(g, hs, hs), 0.0)),
-        1e-300,
-    )
+    denom = max(_sym_norm(g, lie) * _sym_norm(g, hs), 1e-300)
     defect = abs(_sym_inner(g, lie, hs)) / denom
-    return SplitResult(
-        VectorField.from_arrays(g.spec, xs[0], xs[1]),
-        SymTensorField.from_stack(g.spec, hs),
-        defect,
-        iterations,
-        method,
-    )
+    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations, method)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +237,7 @@ def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, method: str, i
 
 def _divergence_defect(g: MetricField, s: SymTensorField) -> float:
     """|div s| / |s|, both in the g-weighted norms; 0 for s = 0."""
-    div_norm = _one_form_norm(g, _divergence_stack(g, s.as_stack()))
+    div_norm = _one_form_norm(g, _divergence_stack(g, s.values))
     s_norm = ebin_norm(g, s)
     if s_norm <= 1e-14 * ebin_norm(g, g.g):
         return 0.0
@@ -306,9 +297,6 @@ def slice_decompose(
     norm_g = max(ebin_norm(g_base, g.g), 1e-300)
     base_stack = g_base.as_stack()
 
-    def sym(stack: np.ndarray) -> SymTensorField:
-        return SymTensorField.from_stack(spec, stack)
-
     def reconstruction(phi: DiffeoGrid, hs: np.ndarray) -> MetricField:
         end = MetricField.from_stack(spec, _geodesic(base_stack, hs, 1.0))
         return pullback(phi, end)
@@ -321,19 +309,19 @@ def slice_decompose(
         if it == 1:
             pulled = pullback(invert(phi), g)
             s_log = ebin_log(g_base, pulled, tol=min(1e-8, tol))
-            split = _project_unchecked(g_base, s_log.as_stack())
-            new_hs = split.h.as_stack()
+            split = _project_unchecked(g_base, s_log.values)
+            new_hs = split.h.values
         else:
             recon = reconstruction(phi, hs)
             residual = ebin_norm(g_base, g.g - recon.g) / norm_g
             r_pulled = pullback(invert(phi), g.g - recon.g)
-            split = _project_unchecked(g_base, r_pulled.as_stack())
-            new_hs = hs + split.h.as_stack()
+            split = _project_unchecked(g_base, r_pulled.values)
+            new_hs = hs + split.h.values
 
         # the pending correction measures how far the gauge is from converged
-        gauge = ebin_norm(g_base, sym(_lie_stack(g_base, split.x.as_stack()))) / norm_g
+        gauge = _sym_norm(g_base, _lie_stack(g_base, split.x.values)) / norm_g
         if residual <= tol and gauge <= tol:
-            return SliceDecomposition(phi, sym(hs), residual, it)
+            return SliceDecomposition(phi, SymTensorField(spec, hs), residual, it)
 
         lam = 1.0
         for _ in range(8):
@@ -350,7 +338,7 @@ def slice_decompose(
             break  # no damped step improves: stalled at the attainable floor
 
     if residual <= tol:
-        return SliceDecomposition(phi, sym(hs), residual, max_iter)
+        return SliceDecomposition(phi, SymTensorField(spec, hs), residual, max_iter)
     raise NoConvergence(
         f"slice decomposition stalled at residual {residual:.3e} (tol {tol:.1e})"
     )
@@ -437,36 +425,11 @@ class LatticeIsometry:
         return translation(spec, (self.shift[0] / spec.n, self.shift[1] / spec.n))
 
 
-def _source_indices(n: int, iso: LatticeIsometry):
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    b1, b2 = iso.shift
-    if iso.flip == "id":
-        return (i - b1) % n + 0 * j, (j - b2) % n + 0 * i
-    if iso.flip == "fx":
-        return (b1 - i - 1) % n + 0 * j, (j - b2) % n + 0 * i
-    if iso.flip == "fy":
-        return (i - b1) % n + 0 * j, (b2 - j - 1) % n + 0 * i
-    # swap: source row from y, source column from x
-    return (j - b2) % n + 0 * i, (i - b1) % n + 0 * j
-
-
 def lattice_transport(iso: LatticeIsometry, field):
     """Left action of a lattice candidate by exact sample permutation."""
     if isinstance(field, MetricField):
         return MetricField(lattice_transport(iso, field.g))
-    spec = field.spec
-    si, sj = _source_indices(spec.n, iso)
-    if isinstance(field, ScalarField):
-        return ScalarField(spec, field.values[si, sj])
-    a11 = field.s11.values[si, sj]
-    a12 = field.s12.values[si, sj]
-    a22 = field.s22.values[si, sj]
-    if iso.flip in ("fx", "fy"):
-        a12 = -a12
-    elif iso.flip == "swap":
-        a11, a22 = a22, a11
-    return SymTensorField.from_arrays(spec, a11, a12, a22)
+    return type(field)(field.spec, _lattice_mover(field.values, iso.flip)(iso.shift))
 
 
 def candidate_family(n: int):
@@ -480,12 +443,14 @@ def candidate_family(n: int):
 def isometry_candidates(g: MetricField, tol: float = 1e-8) -> list:
     """Candidates whose exact permutation action reproduces g within tol (sigma-relative)."""
     n = g.spec.n
+    gs = g.as_stack()
     norm_g = ebin_norm(g, g.g)
     found = []
-    for iso in candidate_family(n):
-        moved = lattice_transport(iso, g.g)
-        if ebin_norm(g, moved - g.g) <= tol * norm_g:
-            found.append(iso)
+    for flip in _FLIP_MATRICES:
+        move = _lattice_mover(gs, flip)
+        for shift in np.ndindex(n, n):
+            if _sym_norm(g, move(shift) - gs) <= tol * norm_g:
+                found.append(LatticeIsometry(flip, shift))
     return found
 
 
@@ -536,43 +501,39 @@ def conjugate_isometries(
     f = dec.phi
     iso_g = isometry_candidates(g, iso_tol)
     iso_base = isometry_candidates(g_base, iso_tol)
-    base_set = {(k.flip, k.shift) for k in iso_base}
+    base_set = set(iso_base)
 
     x, y = spec.cell_centers()
     fwd = f.points()  # f(x) at cell centers
-    f_inv_u = f.v
 
     entries = []
     worst = 0.0
     for iota in iso_g:
         zx, zy = iota.map_points(n, fwd[0] % 1.0, fwd[1] % 1.0)
-        qx = (zx + interpolate(f_inv_u.v1, zx, zy)) % 1.0
-        qy = (zy + interpolate(f_inv_u.v2, zx, zy)) % 1.0
+        qx = (zx + interpolate(f.v.v1, zx, zy)) % 1.0
+        qy = (zy + interpolate(f.v.v2, zx, zy)) % 1.0
 
-        # guess: conjugation preserves the flip part and perturbs the shift
+        def deviation(kappa: LatticeIsometry) -> float:
+            kx, ky = kappa.map_points(n, x, y)
+            return max(_torus_gap(qx, kx), _torus_gap(qy, ky))
+
+        # guess: conjugation preserves the flip part and perturbs the shift;
+        # all base candidates are searched only when the guess does not match
         a = iota.matrix
         rx = qx - (a[0, 0] * x + a[0, 1] * y)
         ry = qy - (a[1, 0] * x + a[1, 1] * y)
-        guess_shift = (
-            int(np.round(np.mean((rx + 0.5) % 1.0 - 0.5) * n)) % n,
-            int(np.round(np.mean((ry + 0.5) % 1.0 - 0.5) * n)) % n,
+        guess = LatticeIsometry(
+            iota.flip,
+            (
+                int(np.round(np.mean((rx + 0.5) % 1.0 - 0.5) * n)) % n,
+                int(np.round(np.mean((ry + 0.5) % 1.0 - 0.5) * n)) % n,
+            ),
         )
-        best: LatticeIsometry | None = None
-        best_dev = math.inf
-        guesses = [LatticeIsometry(iota.flip, guess_shift)]
-        for kappa in guesses:
-            if (kappa.flip, kappa.shift) not in base_set:
-                continue
-            kx, ky = kappa.map_points(n, x, y)
-            dev = max(_torus_gap(qx, kx), _torus_gap(qy, ky))
-            if dev < best_dev:
-                best, best_dev = kappa, dev
-        if best is None or best_dev > tol:
-            for kappa in iso_base:
-                kx, ky = kappa.map_points(n, x, y)
-                dev = max(_torus_gap(qx, kx), _torus_gap(qy, ky))
-                if dev < best_dev:
-                    best, best_dev = kappa, dev
+        scored = [(deviation(guess), guess)] if guess in base_set else []
+        if not scored or scored[0][0] > tol:
+            scored += [(deviation(kappa), kappa) for kappa in iso_base]
+        # the first of equal deviations wins
+        best_dev, best = min(scored, key=lambda e: e[0], default=(math.inf, None))
         entries.append(ConjugationEntry(iota, best, best_dev))
         worst = max(worst, best_dev)
 

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from riemgrid.calculus import ChristoffelField, OneFormField
+from riemgrid.diffeos import from_displacement
 from riemgrid.grid import (
     GridSpec,
     MetricField,
     ScalarField,
+    SymTensorField,
+    VectorField,
     constant_field,
     constant_metric,
     identity_metric,
@@ -28,6 +32,37 @@ def test_spec_invariants():
     assert spec.h * spec.n == 1.0
     with pytest.raises(ValueError):
         GridSpec(3)
+
+
+def test_field_values_are_read_only_copies():
+    n = 8
+    spec = GridSpec(n)
+    rng = np.random.default_rng(2)
+    metric = np.stack([np.full((n, n), 2.0), 0.1 * rng.standard_normal((n, n)), np.full((n, n), 3.0)])
+    displacement = 0.01 * rng.standard_normal((2, n, n))
+    kinds = [
+        (ScalarField, rng.standard_normal((n, n))),
+        (VectorField, rng.standard_normal((2, n, n))),
+        (OneFormField, rng.standard_normal((2, n, n))),
+        (SymTensorField, rng.standard_normal((3, n, n))),
+        (MetricField.from_stack, metric.copy()),
+        (ChristoffelField, rng.standard_normal((6, n, n))),
+        (lambda spec, a: from_displacement(spec, VectorField(spec, a)).u, displacement),
+        (lambda spec, a: from_displacement(spec, VectorField(spec, a)).v, displacement.copy()),
+    ]
+    for make, array in kinds:
+        field = make(spec, array)
+        stored = field.as_stack()
+        kept = stored.copy()
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[(0,) * stored.ndim] = 1.0
+        array[...] = 0.0  # the caller's input changes after construction
+        assert np.array_equal(field.as_stack(), kept)
+    # named components are views of the one stored array, read-only too
+    g = MetricField.from_stack(spec, metric)
+    assert np.shares_memory(g.g12.values, g.as_stack())
+    assert not g.g12.values.flags.writeable
 
 
 def test_constant_field_identity():

@@ -10,6 +10,7 @@ from riemgrid.geodesics import ebin_exp, ebin_inner, ebin_norm
 from riemgrid.grid import (
     GridSpec,
     MetricField,
+    ScalarField,
     SymTensorField,
     constant_field,
     constant_metric,
@@ -313,6 +314,38 @@ def test_lattice_transport_of_divergence_free_tensor_stays_divergence_free():
         moved = lattice_transport(iso, h)
         defect = np.max(np.abs(divergence(gamma16, moved).as_stack()))
         assert defect <= max(1e-13, 4.0 * base_defect)
+
+
+def _source_indices(n, iso):
+    # reference: the index form lattice_transport was first written in
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    b1, b2 = iso.shift
+    if iso.flip == "id":
+        return (i - b1) % n + 0 * j, (j - b2) % n + 0 * i
+    if iso.flip == "fx":
+        return (b1 - i - 1) % n + 0 * j, (j - b2) % n + 0 * i
+    if iso.flip == "fy":
+        return (i - b1) % n + 0 * j, (b2 - j - 1) % n + 0 * i
+    # swap: source row from y, source column from x
+    return (j - b2) % n + 0 * i, (i - b1) % n + 0 * j
+
+
+def test_lattice_transport_matches_index_form_bitwise():
+    rng = np.random.default_rng(8)
+    for n in (4, 5, 16):
+        spec = GridSpec(n)
+        f = ScalarField(spec, rng.standard_normal((n, n)))
+        s = SymTensorField(spec, rng.standard_normal((3, n, n)))
+        for iso in candidate_family(n):
+            si, sj = _source_indices(n, iso)
+            assert np.array_equal(lattice_transport(iso, f).values, f.values[si, sj])
+            a11, a12, a22 = (c.values[si, sj] for c in (s.s11, s.s12, s.s22))
+            if iso.flip in ("fx", "fy"):
+                a12 = -a12
+            elif iso.flip == "swap":
+                a11, a22 = a22, a11
+            assert np.array_equal(lattice_transport(iso, s).values, np.stack([a11, a12, a22]))
 
 
 def test_lattice_transport_matches_diffeo_pullback_for_translations():
