@@ -212,7 +212,7 @@ def trace_pairing(g: MetricField, s: SymTensorField, t: SymTensorField) -> Scala
 
 def _trace_pairing_values(inv: np.ndarray, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
     a = _sym_product(inv, ss)  # g^{-1} s, a general 2x2 field
-    b = _sym_product(inv, ts)
+    b = a if ts is ss else _sym_product(inv, ts)
     # term grouping keeps the pairing bitwise symmetric in (s, t)
     return (a[0] * b[0] + a[3] * b[3]) + (a[1] * b[2] + a[2] * b[1])
 

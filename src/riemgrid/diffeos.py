@@ -6,6 +6,18 @@ whenever a new map is produced.  Lattice translations are detected and applied
 as exact sample permutations; everything else goes through spline
 interpolation.  The action on metrics is the left action phi . g = pullback of
 g along phi^{-1}.
+
+The inverse displacement solves v = -u(x + v) by fixed-point iteration, which
+contracts only while the stencil Jacobian norm max ||Du||_2 stays below 1; a
+map at or past that bound is rejected before iterating.
+
+Flows are integrated with fixed-step RK4 on the spline-interpolated field.  The
+step count comes from the field: with s = |t| max|X| and L = |t| max|D_a X^i|,
+the displacement error behaves like C s (L/N)^4, so N = ceil(L (C s / eps)^(1/4))
+steps meet the absolute target eps = 1e-12, 100x below the inverse consistency
+bound.  C = 0.04 is twice the largest constant measured against 1024-step
+references (0.020, over random fields with max_mode 1-4 and two shears at
+n = 16, 32, 64).
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ from .grid import (
 _INVERSE_TOL = 1e-12
 _INVERSE_MAX_ITER = 200
 _CONSISTENCY_BOUND = 1e-10
+_FLOW_ERROR_TARGET = 1e-12
+_RK4_ERROR_CONSTANT = 0.04
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,26 +88,31 @@ def _sample_vector(u: VectorField, px: np.ndarray, py: np.ndarray) -> np.ndarray
     return np.stack([interpolate(u.v1, px, py), interpolate(u.v2, px, py)])
 
 
-def _forward_jacobian_dets(spec: GridSpec, us: np.ndarray) -> np.ndarray:
+def _stencil_jacobian(spec: GridSpec, vs: np.ndarray) -> tuple:
+    """D_a v^i of a (2, n, n) stack as (d11, d12, d21, d22), d_ia = D_a v^i."""
     h = spec.h
-    j11 = 1.0 + stencil_derivative(us[0], 1, h)
-    j12 = stencil_derivative(us[0], 2, h)
-    j21 = stencil_derivative(us[1], 1, h)
-    j22 = 1.0 + stencil_derivative(us[1], 2, h)
-    return j11 * j22 - j12 * j21
+    return tuple(stencil_derivative(vs[i], a, h) for i in (0, 1) for a in (1, 2))
 
 
 def _build(spec: GridSpec, us: np.ndarray) -> DiffeoGrid:
     """Validate a forward displacement and attach a freshly computed inverse."""
     if not np.all(np.isfinite(us)):
         raise StepFailure("displacement field contains non-finite samples")
-    if np.any(_forward_jacobian_dets(spec, us) <= 0.0):
+    d11, d12, d21, d22 = _stencil_jacobian(spec, us)
+    if np.any((1.0 + d11) * (1.0 + d22) - d12 * d21 <= 0.0):
         raise JacobianSignFlip("pointwise Jacobian determinant is not positive")
 
     u = VectorField(spec, us)
     c = _constant_displacement(us)
     if c is not None:
         return DiffeoGrid(spec, u, VectorField(spec, np.broadcast_to(-c[:, None, None], us.shape)), 0.0)
+
+    # largest singular value of each 2x2 Du: sigma^2 = (F + sqrt(F^2 - 4 det^2)) / 2
+    frob = d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22
+    det = d11 * d22 - d12 * d21
+    du_norm = math.sqrt(0.5 * float(np.max(frob + np.sqrt(np.maximum(frob * frob - 4.0 * det * det, 0.0)))))
+    if du_norm >= 1.0:
+        raise NoConvergence(f"inverse fixed point cannot contract: max ||Du||_2 = {du_norm:.3f} >= 1")
 
     x, y = spec.cell_centers()
     vs = -us.copy()
@@ -148,11 +167,23 @@ def invert(phi: DiffeoGrid) -> DiffeoGrid:
     return _build(phi.spec, phi.v.values)
 
 
+def _rk4_steps(x_field: VectorField, t: float) -> int:
+    """Steps that bring the RK4 error model C s (L/N)^4 below the flow error target."""
+    s = abs(t) * x_field.max_abs()
+    lip = abs(t) * max(float(np.max(np.abs(d))) for d in _stencil_jacobian(x_field.spec, x_field.values))
+    return max(1, math.ceil(lip * (_RK4_ERROR_CONSTANT * s / _FLOW_ERROR_TARGET) ** 0.25))
+
+
 def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> DiffeoGrid:
     """Time-t flow of a vector field, integrated with fixed-step RK4.
 
     Restricted to t * max|X| <= 1/4, which keeps the result inside the
     bijectivity neighborhood handled by the displacement representation.
+    By default the step count is N = max(1, ceil(L (C s / eps)^(1/4))) with
+    s = |t| max|X|, L = |t| max|D_a X^i| (4th-order stencil), C = 0.04 and
+    eps = 1e-12: the RK4 error model C s (L/N)^4 then puts the displacement
+    within eps of the exact flow of the interpolated field.  Zero and constant
+    fields take one step.  An explicit n_steps overrides the rule.
     """
     spec = x_field.spec
     scale = abs(t) * x_field.max_abs()
@@ -161,7 +192,7 @@ def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> Diff
     if t == 0.0:
         return identity_diffeo(spec)
     if n_steps is None:
-        n_steps = max(64, int(math.ceil(256.0 * scale)))
+        n_steps = _rk4_steps(x_field, t)
     x, y = spec.cell_centers()
     p = np.stack([x, y])
     dt = t / n_steps
@@ -201,11 +232,8 @@ def pullback(phi: DiffeoGrid, field):
     if isinstance(field, ScalarField):
         return ScalarField(spec, interpolate(field, bx, by))
 
-    h = spec.h
-    j11 = 1.0 + stencil_derivative(vs[0], 1, h)
-    j12 = stencil_derivative(vs[0], 2, h)
-    j21 = stencil_derivative(vs[1], 1, h)
-    j22 = 1.0 + stencil_derivative(vs[1], 2, h)
+    d11, j12, j21, d22 = _stencil_jacobian(spec, vs)
+    j11, j22 = 1.0 + d11, 1.0 + d22
     a, b, c = (interpolate(comp, bx, by) for comp in (field.s11, field.s12, field.s22))
     # columns of J are the transported basis vectors; congruence J^T g J
     s11 = j11 * (a * j11 + b * j21) + j21 * (b * j11 + c * j21)

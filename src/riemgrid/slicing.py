@@ -312,9 +312,8 @@ def slice_decompose(
             split = _project_unchecked(g_base, s_log.values)
             new_hs = split.h.values
         else:
-            recon = reconstruction(phi, hs)
-            residual = ebin_norm(g_base, g.g - recon.g) / norm_g
-            r_pulled = pullback(invert(phi), g.g - recon.g)
+            # miss and residual belong to the step accepted last iteration
+            r_pulled = pullback(invert(phi), miss)
             split = _project_unchecked(g_base, r_pulled.values)
             new_hs = hs + split.h.values
 
@@ -327,11 +326,10 @@ def slice_decompose(
         for _ in range(8):
             trial_hs = hs + lam * (new_hs - hs)
             trial_phi = compose(phi, flow_exp(split.x, -lam))
-            trial_res = (
-                ebin_norm(g_base, g.g - reconstruction(trial_phi, trial_hs).g) / norm_g
-            )
+            trial_miss = g.g - reconstruction(trial_phi, trial_hs).g
+            trial_res = ebin_norm(g_base, trial_miss) / norm_g
             if trial_res < residual:
-                phi, hs, residual = trial_phi, trial_hs, trial_res
+                phi, hs, miss, residual = trial_phi, trial_hs, trial_miss, trial_res
                 break
             lam *= 0.5
         else:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from riemgrid.diffeos import (
+    _rk4_steps,
+    _stencil_jacobian,
     action_derivative,
     compose,
     flow_exp,
@@ -12,7 +14,7 @@ from riemgrid.diffeos import (
     pullback,
     translation,
 )
-from riemgrid.errors import StepFailure
+from riemgrid.errors import NoConvergence, StepFailure
 from riemgrid.calculus import lie_derivative_metric
 from riemgrid.geodesics import ebin_norm
 from riemgrid.grid import (
@@ -123,6 +125,38 @@ def test_flow_matches_dense_reference():
     coarse = flow_exp(x_field, 0.1)
     dense = flow_exp(x_field, 0.1, n_steps=1000)  # dt = 1e-4
     assert map_gap(coarse, dense) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, seed, amplitude, t_lip, max_steps",
+    [
+        (32, 5, 0.02, 0.02, 3),  # the scale of the chart layer's flows
+        (32, 6, 0.03, 0.5, 128),
+        (64, 7, 0.03, 0.5, 128),
+        (64, 9, 0.02, None, 96),  # a gauge-n64 field at t = 1 (t Lip about 0.39)
+    ],
+)
+def test_flow_step_rule_matches_1024_step_oracle(n, seed, amplitude, t_lip, max_steps):
+    x_field = random_vector_field(GridSpec(n), seed, amplitude=amplitude)
+    lip = max(np.max(np.abs(d)) for d in _stencil_jacobian(x_field.spec, x_field.values))
+    t = 1.0 if t_lip is None else t_lip / lip
+    assert _rk4_steps(x_field, t) <= max_steps
+    phi = flow_exp(x_field, t)
+    oracle = flow_exp(x_field, t, n_steps=1024)
+    assert np.max(np.abs(phi.u.values - oracle.u.values)) <= 1e-12
+
+
+def test_flow_of_zero_and_constant_fields_takes_one_step():
+    assert _rk4_steps(zero_vector(SPEC), 1.0) == 1
+    assert _rk4_steps(constant_vector(SPEC, (0.25, -0.1)), 1.0) == 1
+
+
+def test_flow_past_the_contraction_bound_fails_before_iterating():
+    # t max|X| = 0.05 passes the displacement bound, but the inverse fixed
+    # point v = -u(x + v) cannot contract at max ||Du||_2 = 1.52
+    x_field = random_vector_field(SPEC, 1, amplitude=0.05, max_mode=4)
+    with pytest.raises(NoConvergence, match=r"max \|\|Du\|\|_2 = 1\.5\d+ >= 1"):
+        flow_exp(x_field, 1.0)
 
 
 def test_flow_displacement_bound():

@@ -7,6 +7,8 @@ from scipy.optimize import minimize
 from riemgrid.diffeos import pullback, translation
 from riemgrid.errors import NoConvergence, PositivityLoss
 from riemgrid.geodesics import (
+    _sym_inner,
+    _sym_norm,
     ebin_exp,
     ebin_inner,
     ebin_log,
@@ -62,6 +64,14 @@ def test_inner_positive_definite():
     for seed in range(5):
         s = random_sym_tensor(SPEC, seed, amplitude=0.5)
         assert ebin_inner(GAMMA, s, s) > 0.0
+
+
+def test_norm_reuses_the_product_bitwise():
+    # the norm forms g^{-1} s once; a copy of s forces the two-product form
+    g = MetricField(constant_field(SPEC, np.eye(2)) + random_sym_tensor(SPEC, 43, amplitude=0.2))
+    s = random_sym_tensor(SPEC, 44, amplitude=0.4).values
+    two_products = _sym_inner(g, s, s.copy())
+    assert _sym_norm(g, s) == np.sqrt(two_products) and two_products > 0.0
 
 
 def test_inner_invariant_under_lattice_translation():
