@@ -327,26 +327,18 @@ def cmd_convergence(cfg: RunConfig):
     adj = [conv.adjointness_defect(n) for n in resolutions]
     equi = [conv.equivariance_defect(n) for n in resolutions]
     inva = [conv.invariance_defect(n) for n in resolutions]
-    flat = [conv.flat_adjointness_defect(n) for n in resolutions]
     report = Report("convergence")
     report.add_table(
         "defects",
-        ("n", "adjointness", "equivariance", "invariance", "flat_adjointness"),
-        [(n, adj[k], equi[k], inva[k], flat[k]) for k, n in enumerate(resolutions)],
+        ("n", "adjointness", "equivariance", "invariance"),
+        [(n, adj[k], equi[k], inva[k]) for k, n in enumerate(resolutions)],
     )
-    order_adj = conv.measured_order(adj, resolutions)
     order_equi = conv.measured_order(equi, resolutions)
     order_inva = conv.measured_order(inva, resolutions)
-    report.add("order_adjointness", order_adj)
+    report.add("adjointness_max", max(adj))
     report.add("order_equivariance", order_equi)
     report.add("order_invariance", order_inva)
-    report.add("flat_adjointness_max", max(flat))
-    ok = (
-        order_adj >= 1.9
-        and order_equi >= 1.9
-        and order_inva >= 1.9
-        and max(flat) <= 1e-12
-    )
+    ok = max(adj) <= 1e-12 and order_equi >= 1.9 and order_inva >= 1.9
     report.add("pass", ok)
     return (0 if ok else 1), report
 

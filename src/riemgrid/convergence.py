@@ -2,9 +2,9 @@
 
 All fields here are manufactured: fixed analytic formulas sampled at each
 resolution, so a defect can be measured against the same continuum limit as
-the grid is refined.  On a constant-coefficient metric the duality defect is
-zero to roundoff (the central stencils are exactly skew-adjoint under the
-midpoint rule), so the decay order is measured on a curved metric.
+the grid is refined.  The duality defect is the exception: the discrete
+divergence is built as the exact adjoint of the discrete Lie derivative, so
+it is roundoff on every metric and at every resolution, and has no order.
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ def adjointness_defect(n: int) -> float:
     lhs = ebin_inner(g, lie_derivative_metric(g, vec), s)
     pairing = form_vector_pairing(divergence(g, s), vec)
     rhs = 2.0 * integrate(ScalarField(g.spec, pairing.values * volume_density(g).values))
-    return abs(lhs + rhs)
-
-
-def flat_adjointness_defect(n: int) -> float:
-    """Same pairing on the flat metric, where the identity is exact to roundoff."""
-    spec, _, vec, s, _ = _manufactured(n)
-    flat = MetricField(
-        SymTensorField.from_arrays(
-            spec, np.ones((n, n)), np.zeros((n, n)), np.ones((n, n))
-        )
-    )
-    lhs = ebin_inner(flat, lie_derivative_metric(flat, vec), s)
-    pairing = form_vector_pairing(divergence(flat, s), vec)
-    rhs = 2.0 * integrate(ScalarField(spec, pairing.values * volume_density(flat).values))
     return abs(lhs + rhs)
 
 

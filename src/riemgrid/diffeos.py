@@ -164,6 +164,7 @@ def invert(phi: DiffeoGrid) -> DiffeoGrid:
     c = _constant_displacement(phi.u.values)
     if c is not None:
         return translation(phi.spec, -c)
+    # u inverts v only to spline accuracy (max|u + v(x + u)| ~ 1e-7), far above _CONSISTENCY_BOUND
     return _build(phi.spec, phi.v.values)
 
 

@@ -3,7 +3,9 @@
 The tangent space at a metric g splits sigma-orthogonally into the orbit
 directions {L_X g} of the pullback action and the divergence-free tensors.
 berger_ebin_project computes that splitting matrix-free: by an exact FFT solve
-on constant bases, and by GMRES preconditioned with that solve on curved ones;
+on constant bases, and on curved ones by conjugate gradients on the symmetric
+operator L^T W L (the discrete divergence is the exact sigma-adjoint of the
+discrete L_X g), preconditioned by that solve plus the two translations;
 slice_decompose inverts the local product chart, writing a nearby metric as
 pullback(phi, exp_g(h)) with div-free h; horizontal_lift removes the orbit
 component of a path's velocity step by step.  Isometry probing is
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _vector_inner_stack
+from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _vector_inner_stack, _vol_values
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import NoConvergence, SolverStall
 from .geodesics import _geodesic, _sym_inner, _sym_norm, ebin_exp, ebin_log, ebin_norm, relative_distance
@@ -33,10 +35,11 @@ from .grid import GridSpec, MetricField, SymTensorField, VectorField, _lattice_m
 
 @dataclass(frozen=True)
 class SplitResult:
-    """S = L_X g + h with h divergence-free; X is the zero-mean gauge generator.
+    """S = L_X g + h with h divergence-free; X is the gauge generator.
 
-    method names the solver: "fft" (exact, constant base, 0 iterations) or
-    "gmres" (curved base).
+    X carries no stencil checkerboard, and no translation that is Killing
+    (zero mean on a constant base) or near-Killing.  method names the solver:
+    "fft" (exact, constant base, 0 iterations) or "pcg" (curved base).
     """
 
     x: VectorField
@@ -48,13 +51,17 @@ class SplitResult:
 
 # |div s| below this fraction of |s| is stencil roundoff
 _DIV_ROUNDOFF = 1e-12
-# translations whose gain is below this fraction of the operator's smallest
-# non-zero gain are near-Killing: fitting them would cost three digits of
-# conditioning and move the gauge by an ill-determined translation
-_SV_FLOOR = 1e-3
-# GMRES: Krylov dimension cap and the relative residual that ends the solve
-_GMRES_MAX = 60
-_GMRES_RTOL = 1e-13
+# a translation whose gain is below this fraction of the operator's smallest
+# gain on smooth modes is near-Killing and is left out of the coarse solve.
+# The ratio goes as the square of the base's variation: bases flat to 1e-9 ..
+# 1e-6 (the lift and decompose bases of the tests) give 2e-19 .. 3e-13, and
+# there a 1e-7 residual would buy a translation of many torus lengths.  Bases
+# varying by 2e-3 give 5e-7, I + 1e-3 p gives 1e-6 and generic bases at least
+# 2.5e-3, and their translations carry real content.  The cut sits between.
+_NEAR_KILLING = 1e-10
+# PCG: iteration cap, and the drop of sqrt(r^T M r) that ends the solve
+_PCG_MAX = 60
+_PCG_RTOL = 1e-13
 
 
 def _is_constant_metric(g: MetricField) -> bool:
@@ -62,7 +69,8 @@ def _is_constant_metric(g: MetricField) -> bool:
 
 
 def _split_operator(g: MetricField, xs: np.ndarray) -> np.ndarray:
-    return _divergence_stack(g, _lie_stack(g, xs))
+    """K X = L^T W L X = -2 vol div(L_X g), symmetric positive semi-definite."""
+    return -2.0 * _vol_values(g) * _divergence_stack(g, _lie_stack(g, xs))
 
 
 @lru_cache(maxsize=8)
@@ -101,72 +109,58 @@ def _fourier_solver(n: int, g11: float, g12: float, g22: float):
 
 @lru_cache(maxsize=4)
 def _preconditioner(g: MetricField):
-    """Approximate inverse of X -> div(L_X g) on a curved base, as a closure.
+    """Symmetric approximate inverse of K on a curved base, as a closure.
 
-    Two levels.  The Fourier solve at the mean metric leaves out the constant
-    translations, which are not Killing on a curved base.  Less the Fourier
-    solve of their images, they are the operator's near-null directions, and
-    the part of the residual along their images is fitted by least squares,
-    dropping singular values below _SV_FLOOR of the symbol's smallest
-    non-zero one (so near-Killing translations stay out).  The remainder
-    goes through the Fourier solve.  The checkerboards are in neither range,
-    so no iterate carries them.
+    Two levels, added: the Fourier solve at the mean metric, which inverts K
+    there but leaves out the constants, plus the exact solve Z E^+ Z^T on the
+    two unit translations Z, with E = Z^T K Z, which are not Killing on a
+    curved base.  Eigen-directions of E below _NEAR_KILLING of K's smallest
+    gain on smooth modes are dropped.  The checkerboards are in neither
+    range, so no iterate carries them.
     """
     n = g.spec.n
-    solve, sigma_min = _fourier_solver(n, *(float(np.mean(c)) for c in g.as_stack()))
+    means = [float(np.mean(c)) for c in g.as_stack()]
+    solve, sigma_min = _fourier_solver(n, *means)
+    weight = 2.0 * math.sqrt(means[0] * means[2] - means[1] * means[1])  # K = -2 vol div L there
     units = np.zeros((2, 2, n, n))
     units[0, 0] = units[1, 1] = 1.0 / n  # unit-norm translations
-    coarse = np.stack([e - solve(_split_operator(g, e)) for e in units])
-    images = np.stack([_split_operator(g, z).ravel() for z in coarse], axis=1)
-    u, sv, vt = np.linalg.svd(images, full_matrices=False)
-    keep = sv > _SV_FLOOR * sigma_min
-    u, sv, vt = u[:, keep], sv[keep], vt[keep]
+    e = np.array([[np.vdot(zi, _split_operator(g, zj)) for zj in units] for zi in units])
+    gains, vecs = np.linalg.eigh(e)
+    keep = gains > _NEAR_KILLING * weight * sigma_min
+    coarse = np.tensordot(vecs[:, keep].T, units, axes=1)
+    gains = gains[keep]
 
     def apply(r: np.ndarray) -> np.ndarray:
-        coef = u.T @ r.ravel()
-        shift = np.tensordot(vt.T @ (coef / sv), coarse, axes=1)
-        return shift + solve(r - (u @ coef).reshape(r.shape))
+        coef = np.tensordot(coarse, r, axes=3) / gains
+        return solve(r / -weight) + np.tensordot(coef, coarse, axes=1)
 
     return apply
 
 
-def _gmres(apply_a, apply_m, b: np.ndarray) -> tuple:
-    """Right-preconditioned GMRES from 0 for A x = b with x = M y; returns (x, iterations).
+def _pcg(apply_k, apply_m, c: np.ndarray) -> tuple:
+    """Preconditioned CG from 0 for K x = c; returns (x, iterations).
 
-    It runs to the attainable floor: a relative residual of _GMRES_RTOL, a
-    residual that has not halved over 8 iterations (on a curved base b leaves
-    the range of A by the discretization defect), or _GMRES_MAX iterations.
+    It stops when sqrt(r^T M r) has fallen to _PCG_RTOL of its start, or after
+    _PCG_MAX iterations.  The part of r outside the range of M (checkerboards
+    and near-Killing translations) does not enter that measure.
     """
-    beta = float(np.linalg.norm(b))
-    basis, rotations, history = [], [], [beta]  # history: residual norm per iteration
-    hess = np.zeros((_GMRES_MAX + 1, _GMRES_MAX))
-    rhs = np.zeros(_GMRES_MAX + 1)  # beta e_1, rotated along with hess
-    rhs[0] = beta
-    w, w_norm, k = b, beta, 0
-    while k < _GMRES_MAX and w_norm > 0.0:
-        basis.append(w / w_norm)
-        w = apply_a(apply_m(basis[k]))
-        for j, v in enumerate(basis):  # modified Gram-Schmidt
-            hess[j, k] = np.vdot(v, w)
-            w = w - hess[j, k] * v
-        w_norm = float(np.linalg.norm(w))
-        for j, (cs, sn) in enumerate(rotations):
-            hess[j, k], hess[j + 1, k] = cs * hess[j, k] + sn * hess[j + 1, k], cs * hess[j + 1, k] - sn * hess[j, k]
-        r = math.hypot(hess[k, k], w_norm)
-        if r == 0.0:
-            break
-        cs, sn = hess[k, k] / r, w_norm / r
-        rotations.append((cs, sn))
-        hess[k, k] = r
-        rhs[k + 1], rhs[k] = -sn * rhs[k], cs * rhs[k]
+    x = np.zeros_like(c)
+    r = c
+    z = apply_m(r)
+    p = z
+    rz = float(np.vdot(r, z))
+    stop = _PCG_RTOL * _PCG_RTOL * rz
+    k = 0
+    while k < _PCG_MAX and rz > stop:
+        q = apply_k(p)
+        alpha = rz / float(np.vdot(p, q))
+        x = x + alpha * p
+        r = r - alpha * q
+        z = apply_m(r)
+        rz, rz_old = float(np.vdot(r, z)), rz
+        p = z + (rz / rz_old) * p
         k += 1
-        history.append(abs(rhs[k]))
-        if history[k] <= _GMRES_RTOL * beta or (k >= 8 and history[k] > 0.5 * history[k - 8]):
-            break
-    if k == 0:
-        return np.zeros_like(b), 0
-    y = np.linalg.solve(np.triu(hess[:k, :k]), rhs[:k])
-    return apply_m(np.tensordot(y, np.array(basis[:k]), axes=1)), k
+    return x, k
 
 
 def _one_form_norm(g: MetricField, ws: np.ndarray) -> float:
@@ -180,8 +174,9 @@ def _split_stacks(g: MetricField, ss: np.ndarray) -> tuple:
     if _is_constant_metric(g):
         solve, _ = _fourier_solver(g.spec.n, *(float(c[0, 0]) for c in g.as_stack()))
         return solve(b), "fft", 0
-    xs, iterations = _gmres(lambda xs: _split_operator(g, xs), _preconditioner(g), b)
-    return xs, "gmres", iterations
+    c = -2.0 * _vol_values(g) * b
+    xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), c)
+    return xs, "pcg", iterations
 
 
 def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -> SplitResult:
@@ -190,25 +185,29 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
     Solves div(L_X g) = div(s) for X.  On a constant-coefficient base the
     operator is a Fourier multiplier with a 2x2 symbol per wavenumber, and the
     FFT solve is exact; its kernel (constants and stencil checkerboards) is
-    left out, pinning the zero-mean gauge.  On a curved base GMRES,
-    preconditioned by that solve at the mean metric, runs to the
-    discretization floor whatever tol is; the divergence left in h must then
-    be at most tol times that of s.  Curved bases carry an O(h^4) duality
-    floor, so a tol below it raises SolverStall (retry with higher resolution
-    or a looser tolerance).
+    left out, pinning the zero-mean gauge.  On a curved base div is the exact
+    adjoint of L_X g, so K = -2 vol div L is symmetric, and PCG, preconditioned
+    by that solve at the mean metric plus a coarse solve on the translations,
+    runs to a relative residual of 1e-13 whatever tol is; the divergence left
+    in h must then be at most tol times that of s.  What it cannot remove is
+    the checkerboard content of div s (1e-3 of it on a generic base at n=16,
+    3e-7 at n=32), which falls fast under refinement, and the content along a
+    translation that is near-Killing (left out, as its solve would move X by
+    an ill-determined shift).  A tol below that floor raises SolverStall
+    (retry with higher resolution or a looser tolerance).
     """
     ss = s.values
-    xs, method, iterations = _split_stacks(g, ss)
-    if method == "gmres":
+    split = _project_unchecked(g, ss)
+    if split.method == "pcg":
         div_s_norm = _one_form_norm(g, _divergence_stack(g, ss))
-        achieved = _one_form_norm(g, _divergence_stack(g, ss - _lie_stack(g, xs)))
+        achieved = _one_form_norm(g, _divergence_stack(g, split.h.values))
         # relative to div s, unless s is divergence-free to roundoff
         bound = tol * max(div_s_norm, _DIV_ROUNDOFF * ebin_norm(g, s))
         if achieved > bound:
             raise SolverStall(
-                f"GMRES left divergence {achieved:.3e} above bound {bound:.3e} after {iterations} iterations"
+                f"PCG left divergence {achieved:.3e} above bound {bound:.3e} after {split.iterations} iterations"
             )
-    return _finish_split(g, ss, xs, method, iterations)
+    return split
 
 
 def _project_unchecked(g: MetricField, ss: np.ndarray) -> SplitResult:
@@ -217,13 +216,6 @@ def _project_unchecked(g: MetricField, ss: np.ndarray) -> SplitResult:
 
 
 def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, method: str, iterations: int) -> SplitResult:
-    # zero-mean gauge, applied only when the constant shift is exactly Killing
-    c = np.array([np.mean(xs[0]), np.mean(xs[1])])
-    if np.any(c != 0.0):
-        shift = np.broadcast_to(c[:, None, None], xs.shape).copy()
-        if np.max(np.abs(_lie_stack(g, shift))) <= 1e-13 * max(np.max(np.abs(c)), 1e-300):
-            xs = xs - shift
-
     lie = _lie_stack(g, xs)
     hs = ss - lie
     denom = max(_sym_norm(g, lie) * _sym_norm(g, hs), 1e-300)

@@ -14,7 +14,7 @@ from riemgrid.calculus import (
     trace_pairing,
     volume_density,
 )
-from riemgrid.convergence import adjointness_defect, flat_adjointness_defect, measured_order
+from riemgrid.convergence import _manufactured, adjointness_defect, measured_order
 from riemgrid.grid import (
     GridSpec,
     MetricField,
@@ -26,6 +26,7 @@ from riemgrid.grid import (
     constant_vector,
     identity_metric,
     integrate,
+    stencil_derivative,
     zero_tensor,
     zero_vector,
 )
@@ -207,15 +208,34 @@ def test_trace_pairing_zero_and_symmetry_positivity():
     assert np.min(quad) > 0.0  # s has no zero cell for this seed
 
 
-def test_adjointness_exact_on_flat_metric():
-    # central stencils are skew-adjoint under the midpoint rule: exact duality
-    for n in (16, 32):
-        assert flat_adjointness_defect(n) <= 1e-13
-
-
 def test_adjointness_refinement_order_on_curved_metric():
-    defects = [adjointness_defect(n) for n in (16, 32, 64)]
-    assert measured_order(defects) >= 1.9
+    # the divergence is the exact adjoint of L_X g: no decay order, roundoff at every n
+    for n in (16, 32, 64, 128):
+        assert adjointness_defect(n) <= 1e-13
+
+
+def christoffel_divergence(g, s):
+    """Reference: raise both indices of s, apply nabla_i with the Levi-Civita symbols, lower."""
+    h = g.spec.h
+    ginv = metric_inverse(g).as_stack()[[[0, 1], [1, 2]]]
+    glow = g.as_stack()[[[0, 1], [1, 2]]]
+    chris = christoffels(g).as_array()
+    t = np.einsum("ia...,jb...,ab...->ij...", ginv, ginv, s.as_stack()[[[0, 1], [1, 2]]])
+    up = np.zeros((2,) + t.shape[2:])
+    for j in range(2):
+        for i in range(2):
+            up[j] += stencil_derivative(t[i, j], i + 1, h)
+            up[j] += np.einsum("a...,a...->...", chris[i, i], t[:, j]) + np.einsum("a...,a...->...", chris[j, i], t[i])
+    return np.einsum("kj...,j...->k...", glow, up)
+
+
+def test_divergence_matches_christoffel_form_at_fourth_order():
+    resolutions = (16, 32, 64, 128)
+    gaps = []
+    for n in resolutions:
+        _, g, _, s, _ = _manufactured(n)
+        gaps.append(np.max(np.abs(divergence(g, s).as_stack() - christoffel_divergence(g, s))))
+    assert measured_order(gaps, resolutions) >= 3.5
 
 
 def test_adjointness_sign_convention():

@@ -152,7 +152,7 @@ def test_project_generic_curved_base_meets_tolerance_at_n32():
     g = generic_metric(32, 1)
     s = random_sym_tensor(g.spec, 1001, amplitude=0.05)
     split = berger_ebin_project(g, s, tol=1e-4)
-    assert split.method == "gmres" and 0 < split.iterations <= 60
+    assert split.method == "pcg" and 0 < split.iterations <= 60
     assert divergence_norm(g, split.h) <= 1e-4 * divergence_norm(g, s)
     recon = lie_derivative_metric(g, split.x) + split.h - s
     assert ebin_norm(g, recon) <= 1e-12 * ebin_norm(g, s)
@@ -170,6 +170,24 @@ def test_project_curved_floor_refines_at_fourth_order():
         split = berger_ebin_project(g, s, tol=1e-2)
         rel.append(divergence_norm(g, split.h) / divergence_norm(g, s))
     assert rel[1] <= rel[0] / 2 ** 4
+
+
+def test_project_near_killing_bases_split_without_stall():
+    # on I + eps p the translations are nearly Killing; with an exactly adjoint
+    # divergence the split is symmetric and reaches tol at every eps.  At n=16
+    # eps = 1e-1 and 1e-2 stop above 1e-4 on the checkerboard content of div s,
+    # which no X without checkerboards removes, so that resolution is left out.
+    for n in (32, 64, 128):
+        spec = GridSpec(n)
+        p = random_sym_tensor(spec, 1, amplitude=1)
+        s = random_sym_tensor(spec, 1001, amplitude=0.05)
+        for eps in (1e-1, 1e-2, 1e-3):
+            split = berger_ebin_project(MetricField(identity_metric(spec).g + p * eps), s, tol=1e-4)
+            assert split.orthogonality_defect <= 1e-13
+        # translation gains ~eps^2: a base this flat keeps them out of X
+        split = berger_ebin_project(MetricField(identity_metric(spec).g + p * 1e-9), s, tol=1e-4)
+        assert split.orthogonality_defect <= 1e-13
+        assert np.max(np.abs(split.x.as_stack())) <= 0.25
 
 
 # ---------------------------------------------------------------------------
