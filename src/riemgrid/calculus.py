@@ -33,6 +33,7 @@ from .grid import (
     _Field,
     _inv,
     stencil_derivative,
+    stencil_gradient,
 )
 
 
@@ -44,6 +45,8 @@ class OneFormField(_Field):
     w2 = _component(1)
 
 
+# index of the stored component (11, 12, 22) that holds the symmetric entry [b][c]
+_SYM = np.array([[0, 1], [1, 2]])
 # stored order of the six symbols c^k_ij with i <= j, as (k, i, j) index arrays
 _CHRIS_STORED = ([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1])
 
@@ -61,7 +64,7 @@ class ChristoffelField(_Field):
 
     def as_array(self) -> np.ndarray:
         """Dense [k][i][j] layout, shape (2, 2, 2, n, n)."""
-        return self.values[np.array([[[0, 1], [1, 2]], [[3, 4], [4, 5]]])]
+        return self.values[np.array([_SYM, _SYM + 3])]
 
 
 @lru_cache(maxsize=32)
@@ -77,35 +80,7 @@ def _vol_values(g: MetricField) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _metric_gradients(g: MetricField) -> np.ndarray:
     """dg[a][b][c] = D_a g_bc, shape (2, 2, 2, n, n)."""
-    h = g.spec.h
-    gs = g.as_stack()
-    comp = [[gs[0], gs[1]], [gs[1], gs[2]]]
-    out = np.empty((2, 2, 2) + gs[0].shape)
-    for a in range(2):
-        for b in range(2):
-            for c in range(b, 2):
-                d = stencil_derivative(comp[b][c], a + 1, h)
-                out[a, b, c] = d
-                out[a, c, b] = d
-    return out
-
-
-@lru_cache(maxsize=32)
-def _chris_array(g: MetricField) -> np.ndarray:
-    """Gamma[k][i][j], shape (2, 2, 2, n, n)."""
-    inv = _inv_stack(g)
-    ginv = [[inv[0], inv[1]], [inv[1], inv[2]]]
-    dg = _metric_gradients(g)
-    out = np.zeros_like(dg)
-    for k in range(2):
-        for i in range(2):
-            for j in range(i, 2):
-                acc = np.zeros_like(dg[0, 0, 0])
-                for l in range(2):
-                    acc += ginv[k][l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
-                out[k, i, j] = 0.5 * acc
-                out[k, j, i] = out[k, i, j]
-    return out
+    return stencil_gradient(g.as_stack(), g.spec.h)[:, _SYM]
 
 
 def metric_inverse(g: MetricField) -> SymTensorField:
@@ -120,7 +95,11 @@ def volume_density(g: MetricField) -> ScalarField:
 
 def christoffels(g: MetricField) -> ChristoffelField:
     """Levi-Civita symbols c^k_ij = (1/2) g^{kl} (D_i g_lj + D_j g_li - D_l g_ij)."""
-    return ChristoffelField(g.spec, _chris_array(g)[_CHRIS_STORED])
+    dg = _metric_gradients(g)
+    # (D_i g_lj + D_j g_li - D_l g_ij) at [l, i, j]
+    t = np.einsum("ilj...->lij...", dg) + np.einsum("jli...->lij...", dg) - dg
+    gamma = 0.5 * np.einsum("kl...,lij...->kij...", _inv_stack(g)[_SYM], t)
+    return ChristoffelField(g.spec, gamma[_CHRIS_STORED])
 
 
 def lie_derivative_metric(g: MetricField, x: VectorField) -> SymTensorField:
@@ -129,14 +108,10 @@ def lie_derivative_metric(g: MetricField, x: VectorField) -> SymTensorField:
 
 
 def _lie_stack(g: MetricField, xs: np.ndarray) -> np.ndarray:
-    h = g.spec.h
     gs = g.as_stack()
     comp = [[gs[0], gs[1]], [gs[1], gs[2]]]
     dg = _metric_gradients(g)
-    dx = np.empty((2, 2) + xs[0].shape)  # dx[i][k] = D_i X^k
-    for i in range(2):
-        for k in range(2):
-            dx[i, k] = stencil_derivative(xs[k], i + 1, h)
+    dx = stencil_gradient(xs, g.spec.h)  # dx[i][k] = D_i X^k
     out = np.empty((3,) + xs[0].shape)
     for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
         acc = xs[0] * dg[0, i, j] + xs[1] * dg[1, i, j]
@@ -164,11 +139,8 @@ def _divergence_stack(g: MetricField, ss: np.ndarray) -> np.ndarray:
     dg = _metric_gradients(g)
     m = _sym_product(inv, ss)  # (g^-1 s)^i_k as (m11, m12, m21, m22)
     t11, t12, t22 = m[0] * inv[0] + m[1] * inv[1], m[0] * inv[1] + m[1] * inv[2], m[2] * inv[1] + m[3] * inv[2]
-    out = np.empty((2,) + vol.shape)
-    for k in range(2):
-        flux = stencil_derivative(vol * m[k], 1, h) + stencil_derivative(vol * m[2 + k], 2, h)
-        out[k] = flux / vol - 0.5 * (dg[k, 0, 0] * t11 + 2.0 * dg[k, 0, 1] * t12 + dg[k, 1, 1] * t22)
-    return out
+    flux = stencil_derivative(vol * np.stack(m[:2]), 1, h) + stencil_derivative(vol * np.stack(m[2:]), 2, h)
+    return flux / vol - 0.5 * (dg[:, 0, 0] * t11 + 2.0 * dg[:, 0, 1] * t12 + dg[:, 1, 1] * t22)
 
 
 def sharp(g: MetricField, w: OneFormField) -> VectorField:

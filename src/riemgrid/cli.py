@@ -261,9 +261,8 @@ def cmd_isometries(cfg: RunConfig):
 
 def _slice_distance(sl, q) -> float:
     """Distance from a point to the slice disk, in chart coordinates."""
-    p = np.asarray(q.chart) - np.asarray(sl.base.chart)
-    s1 = float(p @ np.asarray(sl.n1))
-    s2 = float(p @ np.asarray(sl.n2))
+    s1, s2 = sl.coords_of(q)
+    p = q.chart - sl.base.chart
     out = p - s1 * np.asarray(sl.n1) - s2 * np.asarray(sl.n2)
     radial = math.hypot(s1, s2)
     excess = max(0.0, radial - sl.radius)

@@ -37,7 +37,7 @@ from .grid import (
     VectorField,
     _lattice_mover,
     interpolate,
-    stencil_derivative,
+    stencil_gradient,
 )
 
 _INVERSE_TOL = 1e-12
@@ -88,17 +88,11 @@ def _sample_vector(u: VectorField, px: np.ndarray, py: np.ndarray) -> np.ndarray
     return np.stack([interpolate(u.v1, px, py), interpolate(u.v2, px, py)])
 
 
-def _stencil_jacobian(spec: GridSpec, vs: np.ndarray) -> tuple:
-    """D_a v^i of a (2, n, n) stack as (d11, d12, d21, d22), d_ia = D_a v^i."""
-    h = spec.h
-    return tuple(stencil_derivative(vs[i], a, h) for i in (0, 1) for a in (1, 2))
-
-
 def _build(spec: GridSpec, us: np.ndarray) -> DiffeoGrid:
     """Validate a forward displacement and attach a freshly computed inverse."""
     if not np.all(np.isfinite(us)):
         raise StepFailure("displacement field contains non-finite samples")
-    d11, d12, d21, d22 = _stencil_jacobian(spec, us)
+    (d11, d21), (d12, d22) = stencil_gradient(us, spec.h)  # d_ia = D_a u^i
     if np.any((1.0 + d11) * (1.0 + d22) - d12 * d21 <= 0.0):
         raise JacobianSignFlip("pointwise Jacobian determinant is not positive")
 
@@ -161,9 +155,6 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
 
 def invert(phi: DiffeoGrid) -> DiffeoGrid:
     """phi^{-1}: promotes the cached inverse displacement to a forward one."""
-    c = _constant_displacement(phi.u.values)
-    if c is not None:
-        return translation(phi.spec, -c)
     # u inverts v only to spline accuracy (max|u + v(x + u)| ~ 1e-7), far above _CONSISTENCY_BOUND
     return _build(phi.spec, phi.v.values)
 
@@ -171,7 +162,7 @@ def invert(phi: DiffeoGrid) -> DiffeoGrid:
 def _rk4_steps(x_field: VectorField, t: float) -> int:
     """Steps that bring the RK4 error model C s (L/N)^4 below the flow error target."""
     s = abs(t) * x_field.max_abs()
-    lip = abs(t) * max(float(np.max(np.abs(d))) for d in _stencil_jacobian(x_field.spec, x_field.values))
+    lip = abs(t) * float(np.max(np.abs(stencil_gradient(x_field.values, x_field.spec.h))))
     return max(1, math.ceil(lip * (_RK4_ERROR_CONSTANT * s / _FLOW_ERROR_TARGET) ** 0.25))
 
 
@@ -233,7 +224,7 @@ def pullback(phi: DiffeoGrid, field):
     if isinstance(field, ScalarField):
         return ScalarField(spec, interpolate(field, bx, by))
 
-    d11, j12, j21, d22 = _stencil_jacobian(spec, vs)
+    (d11, j21), (j12, d22) = stencil_gradient(vs, spec.h)
     j11, j22 = 1.0 + d11, 1.0 + d22
     a, b, c = (interpolate(comp, bx, by) for comp in (field.s11, field.s12, field.s22))
     # columns of J are the transported basis vectors; congruence J^T g J

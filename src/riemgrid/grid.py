@@ -11,7 +11,9 @@ scalar, (k, n, n) for a field with k components, in the order the component
 names list them (v1 v2, s11 s12 s22, ...).  The array is validated and copied
 once, at construction, so field values are immutable and shared freely;
 as_stack() returns it and each named component is a cached ScalarField view
-of one slice.  Every operation here is a pure function.
+of one slice.  The stencils act on whole stacks: x and y are the last two
+array axes, so one call differentiates every component of a field.  Every
+operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -144,21 +146,29 @@ def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
 
 
 def stencil_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Raw-array form of partial_derivative; axis is 1 or 2."""
+    """Raw-array form of partial_derivative over every (n, n) grid of a (..., n, n) stack.
+
+    axis 1 (x) and axis 2 (y) are the last two array axes.
+    """
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    ax = axis - 1
+    ax = axis - 3
     n = values.shape[ax]
-    # wrap-padded by two cells on each side; shifted(k)[i] = values[(i + k) % n]
+    # wrap-padded by two cells on each side; shifted(k)[..., i] = values[..., (i + k) % n]
     padded = np.take(values, np.arange(-2, n + 2), axis=ax, mode="wrap")
+    trailing = (slice(None),) * (-1 - ax)
 
     def shifted(k: int) -> np.ndarray:
-        window = slice(2 + k, 2 + k + n)
-        return padded[window] if ax == 0 else padded[:, window]
+        return padded[(..., slice(2 + k, 2 + k + n)) + trailing]
 
     p1, p2, m1, m2 = shifted(1), shifted(2), shifted(-1), shifted(-2)
     # paired differences cancel bitwise on constant data
     return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
+
+
+def stencil_gradient(values: np.ndarray, h: float) -> np.ndarray:
+    """(D_x, D_y) of every grid of a (..., n, n) stack, shape (2, ..., n, n)."""
+    return np.stack([stencil_derivative(values, 1, h), stencil_derivative(values, 2, h)])
 
 
 def integrate(f: ScalarField) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, SymTensorField, VectorField, stencil_derivative
+from .grid import GridSpec, ScalarField, SymTensorField, VectorField, stencil_gradient
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -144,10 +144,8 @@ def divergence_free_tensor(
     """
     stream = DrawStream(seed)
     psi = _band_limited(spec, stream, max_mode, 1.0)
-    h = spec.h
-    dx = stencil_derivative(psi, 1, h)
-    dy = stencil_derivative(psi, 2, h)
-    s = np.stack([stencil_derivative(dy, 2, h), -stencil_derivative(dx, 2, h), stencil_derivative(dx, 1, h)])
+    dd = stencil_gradient(stencil_gradient(psi, spec.h), spec.h)  # dd[a][b] = D_a D_b psi
+    s = np.stack([dd[1, 1], -dd[1, 0], dd[0, 0]])
     const = np.array([stream.next_symmetric() for _ in range(3)])
     s = s / max(np.max(np.abs(s)), 1e-300) + const[:, None, None]
     return SymTensorField(spec, s * (amplitude / np.max(np.abs(s))))

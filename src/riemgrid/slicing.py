@@ -40,6 +40,8 @@ class SplitResult:
     X carries no stencil checkerboard, and no translation that is Killing
     (zero mean on a constant base) or near-Killing.  method names the solver:
     "fft" (exact, constant base, 0 iterations) or "pcg" (curved base).
+    orthogonality_defect is |sigma(L_X g, h)| / |S|^2, which stays at roundoff
+    also when S is almost all L_X g or almost all h.
     """
 
     x: VectorField
@@ -168,9 +170,8 @@ def _one_form_norm(g: MetricField, ws: np.ndarray) -> float:
     return math.sqrt(max(_vector_inner_stack(g, xs, xs), 0.0))
 
 
-def _split_stacks(g: MetricField, ss: np.ndarray) -> tuple:
-    """Solve div(L_X g) = div(s) for the stack of X; returns (xs, method, iterations)."""
-    b = _divergence_stack(g, ss)
+def _split_stacks(g: MetricField, b: np.ndarray) -> tuple:
+    """Solve div(L_X g) = b for the stack of X; returns (xs, method, iterations)."""
     if _is_constant_metric(g):
         solve, _ = _fourier_solver(g.spec.n, *(float(c[0, 0]) for c in g.as_stack()))
         return solve(b), "fft", 0
@@ -197,9 +198,10 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
     (retry with higher resolution or a looser tolerance).
     """
     ss = s.values
-    split = _project_unchecked(g, ss)
+    b = _divergence_stack(g, ss)
+    split = _finish_split(g, ss, *_split_stacks(g, b))
     if split.method == "pcg":
-        div_s_norm = _one_form_norm(g, _divergence_stack(g, ss))
+        div_s_norm = _one_form_norm(g, b)
         achieved = _one_form_norm(g, _divergence_stack(g, split.h.values))
         # relative to div s, unless s is divergence-free to roundoff
         bound = tol * max(div_s_norm, _DIV_ROUNDOFF * ebin_norm(g, s))
@@ -212,13 +214,13 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
 
 def _project_unchecked(g: MetricField, ss: np.ndarray) -> SplitResult:
     """Internal splitting without the divergence-bound verification."""
-    return _finish_split(g, ss, *_split_stacks(g, ss))
+    return _finish_split(g, ss, *_split_stacks(g, _divergence_stack(g, ss)))
 
 
 def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, method: str, iterations: int) -> SplitResult:
     lie = _lie_stack(g, xs)
     hs = ss - lie
-    denom = max(_sym_norm(g, lie) * _sym_norm(g, hs), 1e-300)
+    denom = max(_sym_inner(g, ss, ss), 1e-300)
     defect = abs(_sym_inner(g, lie, hs)) / denom
     return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations, method)
 

@@ -97,6 +97,21 @@ def test_christoffels_conformal_factor():
     assert np.max(np.abs(c.c111.values - expected)) <= 1e-3
 
 
+def test_christoffels_match_the_component_formula():
+    # c^k_ij = (1/2) sum_l g^kl (D_i g_lj + D_j g_li - D_l g_ij), one component at a time
+    spec = GridSpec(16)
+    g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 21, amplitude=0.2))
+    ginv = metric_inverse(g).as_stack()[[[0, 1], [1, 2]]]
+    glow = g.as_stack()[[[0, 1], [1, 2]]]
+    dg = [[[stencil_derivative(glow[b, c], a + 1, spec.h) for c in range(2)] for b in range(2)] for a in range(2)]
+    got = christoffels(g).as_array()
+    for k, i, j in np.ndindex(2, 2, 2):
+        acc = np.zeros((16, 16))
+        for l in range(2):
+            acc += ginv[k, l] * (dg[i][l][j] + dg[j][l][i] - dg[l][i][j])
+        assert np.array_equal(got[k, i, j], 0.5 * acc)
+
+
 def test_lie_derivative_zero_field():
     spec = GridSpec(16)
     out = lie_derivative_metric(identity_metric(spec), zero_vector(spec))

@@ -145,6 +145,14 @@ def test_stencil_matches_roll_form_bitwise():
             m1, m2 = np.roll(values, 1, axis=ax), np.roll(values, 2, axis=ax)
             reference = (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * (1.0 / n))
             assert np.array_equal(stencil_derivative(values, axis, 1.0 / n), reference)
+        # on a stack, every (n, n) grid gets the single-grid stencil
+        for shape in ((3, n, n), (2, 2, n, n)):
+            stack = rng.standard_normal(shape)
+            grids = stack.reshape(-1, n, n)
+            for axis in (1, 2):
+                got = stencil_derivative(stack, axis, 1.0 / n).reshape(-1, n, n)
+                for k, grid in enumerate(grids):
+                    assert np.array_equal(got[k], stencil_derivative(grid, axis, 1.0 / n))
 
 
 def test_integrate_constant():

@@ -64,6 +64,7 @@ def test_project_recovers_generator():
     split = berger_ebin_project(GAMMA, s, tol=1e-12)
     assert np.max(np.abs(split.x.as_stack() - y_field.as_stack())) <= 1e-8
     assert ebin_norm(GAMMA, split.h) <= 1e-8
+    assert split.orthogonality_defect <= 1e-13
 
 
 def test_project_superposition():
@@ -141,6 +142,7 @@ def test_project_fft_exact_on_sheared_constant_metric():
     y_field = random_vector_field(SPEC, 14, amplitude=0.3)
     split = berger_ebin_project(g, lie_derivative_metric(g, y_field), tol=1e-12)
     assert split.method == "fft" and split.iterations == 0
+    assert split.orthogonality_defect <= 1e-13
     assert np.max(np.abs(split.x.as_stack() - y_field.as_stack())) <= 1e-8
     assert np.max(np.abs(np.mean(split.x.as_stack(), axis=(1, 2)))) <= 1e-13
     assert divergence_norm(g, split.h) <= 1e-10 * divergence_norm(g, lie_derivative_metric(g, y_field))
