@@ -246,12 +246,17 @@ def _lattice_mover(values: np.ndarray, flip: str):
     """Exact lattice motion of scalar or symmetric-tensor samples, as shift -> moved samples.
 
     flip is "id", "fx", "fy" (negate x or y) or "swap" (exchange x and y).  It
-    acts once, by slicing or transposing the grid axes plus the sign of s12 or
-    the exchange of s11 and s22 that it implies on a (3, n, n) stack; the
-    returned function then rolls the flipped samples by a cell shift
-    (b1, b2), so cell (i, j) receives the flipped sample at
-    ((i - b1) % n, (j - b2) % n).
+    acts once (_flipped); the returned function then rolls the flipped
+    samples by a cell shift (b1, b2), so cell (i, j) receives the flipped
+    sample at ((i - b1) % n, (j - b2) % n).
     """
+    values = _flipped(values, flip)
+    return lambda shift: np.roll(values, shift, axis=(-2, -1))
+
+
+def _flipped(values: np.ndarray, flip: str) -> np.ndarray:
+    """Samples moved by a flip alone: the grid axes sliced or transposed, plus
+    the sign of s12 or the exchange of s11 and s22 that it implies on a (3, n, n) stack."""
     if flip != "id" and values.ndim == 3 and len(values) != 3:
         raise ValueError("flips move only scalar and symmetric-tensor samples")
     if flip == "fx":
@@ -264,7 +269,7 @@ def _lattice_mover(values: np.ndarray, flip: str):
         values = np.stack([values[0], -values[1], values[2]])
     elif values.ndim == 3 and flip == "swap":
         values = values[::-1]
-    return lambda shift: np.roll(values, shift, axis=(-2, -1))
+    return values
 
 
 def constant_scalar(spec: GridSpec, c: float) -> ScalarField:

@@ -21,12 +21,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _vector_inner_stack, _vol_values
+from .calculus import (
+    _divergence_stack,
+    _inv_stack,
+    _lie_stack,
+    _sharp_stack,
+    _trace_pairing_values,
+    _vector_inner_stack,
+    _vol_values,
+)
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import NoConvergence, SolverStall
 from .geodesics import _geodesic, _sym_inner, _sym_norm, ebin_exp, ebin_log, ebin_norm, relative_distance
-from .grid import GridSpec, MetricField, SymTensorField, VectorField, _lattice_mover, interpolate
+from .grid import GridSpec, MetricField, SymTensorField, VectorField, _flipped, _lattice_mover, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +441,99 @@ def candidate_family(n: int):
                 yield LatticeIsometry(flip, (b1, b2))
 
 
+# slack of the row bound over roundoff: the row sum and the exact test's
+# full sum add the same non-negative cell terms in different orders
+_ROW_MARGIN = 1e-10
+
+
 def isometry_candidates(g: MetricField, tol: float = 1e-8) -> list:
-    """Candidates whose exact permutation action reproduces g within tol (sigma-relative)."""
+    """Candidates whose exact permutation action reproduces g within tol (sigma-relative).
+
+    The decision is the exact test |move(b) g - g|_sigma <= tol |g|_sigma of
+    every candidate in candidate_family order; three stages skip most of
+    its arithmetic without changing any verdict:
+
+    1. Reject by a row lower bound.  The squared norm is a sum of per-cell
+       terms tr(g^-1 d g^-1 d) vol h^2 >= 0, so the sum over cell row 0
+       alone (_row_defects, all n^2 shifts of a flip in O(n^3)) bounds it
+       from below.  A shift whose row sum exceeds (tol |g|)^2 by more than
+       the relative margin _ROW_MARGIN, far above the roundoff between
+       summation orders, fails the exact test and is dropped.
+    2. Accept bitwise cosets.  The shifts that move a flip's samples onto g
+       bitwise have defect exactly 0.  They form either nothing or a coset
+       b0 + P of the period group P = {p : roll(g, p) == g}: roll(F, b0) == g
+       gives roll(F, b0 + p) == roll(g, p) == g, and two hits differ by a
+       period.  P starts as {0} and is closed under the offset of each
+       bitwise hit outside the known coset, which at least doubles it; the
+       id flip (b0 = 0) builds it, and every other flip needs one bitwise
+       hit b0 and then accepts its coset by lookup.
+    3. Decide every other surviving shift by the exact test.
+    """
     n = g.spec.n
     gs = g.as_stack()
-    norm_g = ebin_norm(g, g.g)
+    bound = tol * ebin_norm(g, g.g)
+    if not bound >= 0.0:
+        return []  # no norm is below a negative or NaN bound
+    period = np.zeros((n, n), dtype=bool)
+    period[0, 0] = True
     found = []
     for flip in _FLIP_MATRICES:
-        move = _lattice_mover(gs, flip)
-        for shift in np.ndindex(n, n):
-            if _sym_norm(g, move(shift) - gs) <= tol * norm_g:
+        flipped = _flipped(gs, flip)
+        survivors = _row_survivors(g, flipped, bound)
+        coset = (0, 0) if flip == "id" else None  # a shift moving flipped onto g bitwise
+        for shift in map(tuple, np.argwhere(survivors).tolist()):
+            offset = None if coset is None else ((shift[0] - coset[0]) % n, (shift[1] - coset[1]) % n)
+            if offset is not None and period[offset]:
                 found.append(LatticeIsometry(flip, shift))
+                continue
+            moved = np.roll(flipped, shift, axis=(-2, -1))
+            if np.array_equal(moved, gs):
+                if coset is None:
+                    coset = shift
+                else:
+                    period = _subgroup(period, offset)  # two bitwise hits differ by a period
+            elif not _sym_norm(g, moved - gs) <= bound:
+                continue
+            found.append(LatticeIsometry(flip, shift))
     return found
+
+
+def _row_survivors(g: MetricField, flipped: np.ndarray, bound) -> np.ndarray:
+    """Mask of the shifts of flipped whose row lower bound does not exceed bound ** 2."""
+    return _row_defects(g, flipped) * (1.0 - _ROW_MARGIN) <= bound ** 2
+
+
+def _row_defects(g: MetricField, flipped: np.ndarray) -> np.ndarray:
+    """Squared sigma defect of roll(flipped, b) against g over cell row 0, for every shift b.
+
+    Entry [b1, b2] sums the exact test's cell terms of cells (0, j).  Those
+    cells of roll(flipped, (b1, b2)) hold flipped[:, -b1, j - b2]: for each
+    b1 every b2 is one window of the wrap-doubled row, so temporaries stay
+    (3, n, n).
+    """
+    n = g.spec.n
+    row_g = g.as_stack()[:, 0]
+    row_inv = _inv_stack(g)[:, 0]
+    row_weight = g.spec.h ** 2 * _vol_values(g)[0]
+    out = np.empty((n, n))
+    for b1 in range(n):
+        row = flipped[:, -b1 % n]
+        # window k holds row[(j + k) % n]; shift b2 reads window n - b2
+        windows = sliding_window_view(np.concatenate([row, row], axis=1), n, axis=1)
+        d = windows[:, n:0:-1] - row_g[:, None]
+        out[b1] = _trace_pairing_values(row_inv, d, d) @ row_weight
+    return out
+
+
+def _subgroup(period: np.ndarray, step: tuple) -> np.ndarray:
+    """Mask of the subgroup of Z_n^2 generated by the subgroup mask period and step."""
+    n = len(period)
+    grown = period.copy()
+    k = step
+    while not period[k]:
+        grown |= np.roll(period, k, axis=(0, 1))
+        k = ((k[0] + step[0]) % n, (k[1] + step[1]) % n)
+    return grown
 
 
 # ---------------------------------------------------------------------------

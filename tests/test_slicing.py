@@ -6,12 +6,14 @@ import pytest
 from riemgrid.calculus import divergence, lie_derivative_metric, sharp, vector_inner
 from riemgrid.diffeos import flow_exp, pullback, translation
 from riemgrid.errors import NoConvergence, SolverStall
-from riemgrid.geodesics import ebin_exp, ebin_inner, ebin_norm
+from riemgrid.geodesics import _sym_norm, ebin_exp, ebin_inner, ebin_norm
 from riemgrid.grid import (
     GridSpec,
     MetricField,
     ScalarField,
     SymTensorField,
+    _flipped,
+    _lattice_mover,
     constant_field,
     constant_metric,
     identity_metric,
@@ -22,6 +24,8 @@ from riemgrid.slicing import (
     LatticeIsometry,
     MetricPath,
     _divergence_defect,
+    _row_survivors,
+    _subgroup,
     berger_ebin_project,
     candidate_family,
     conjugate_isometries,
@@ -402,6 +406,108 @@ def test_isometry_candidates_sin_metric_family():
         expected.add(("fx", (n // 2, j)))
     assert {(iso.flip, iso.shift) for iso in found} == expected
     assert len(found) == 3 * n
+
+
+def _reference_candidates(g, tols):
+    """The per-candidate scan at each tol: the exact test on every candidate, in candidate_family order."""
+    gs = g.as_stack()
+    norm_g = ebin_norm(g, g.g)
+    found = {tol: [] for tol in tols}
+    for flip in ("id", "fx", "fy", "swap"):
+        move = _lattice_mover(gs, flip)
+        for shift in np.ndindex(g.spec.n, g.spec.n):
+            defect = _sym_norm(g, move(shift) - gs)
+            for tol in tols:
+                if defect <= tol * norm_g:
+                    found[tol].append(LatticeIsometry(flip, shift))
+    return found
+
+
+def _scan_metrics(n):
+    """Metrics whose symmetry sets exercise each stage of the isometry scan.
+
+    Every structured metric is built from integer cell indices, so its
+    symmetries hold bitwise.
+    """
+    spec = GridSpec(n)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    rng = np.random.default_rng(400 + n)
+
+    def near_identity(p):
+        return MetricField(SymTensorField(spec, np.stack([1.0 + p[0], p[1], 1.0 + p[2]])))
+
+    metrics = {
+        "flat": identity_metric(spec),
+        "generic": MetricField(constant_field(spec, np.eye(2)) + random_sym_tensor(spec, 43, amplitude=0.05)),
+        "sin": sin_metric(n),
+        # period group {(k, -k)}, which is not a product of axis groups
+        "x+y": near_identity(rng.uniform(-0.2, 0.2, (3, n))[:, (i + j) % n]),
+    }
+    if n % 2 == 0:
+        m = n // 2
+        metrics["tiled"] = near_identity(rng.uniform(-0.2, 0.2, (3, m, m))[:, i % m, j % m])
+    p = rng.uniform(-0.2, 0.2, (3, n, n))
+    p[:, 0] = 0.0
+    metrics["constant reject row"] = near_identity(p)
+    # x-only with x-period m, mirror-symmetric about x = 0: the x-flip coset
+    # (1 + P) lies off the period group P; rows 0 and 1 agree, so the x-flip
+    # shifts in P, which follow its first element, pass the row bound and
+    # fail the exact test
+    m = n // 2 if n % 2 == 0 else n
+    u = rng.uniform(-0.2, 0.2, (3, m))
+    u[1] = 0.0
+    u[:, [1, m - 1]] = u[:, [0]]
+    u = u + u[:, -np.arange(m) % m]
+    metrics["x mirror"] = near_identity(u[:, i % m])
+    p = np.zeros((3, n, n))
+    p[:, 0] = rng.uniform(-0.2, 0.2, (3, n))
+    # defects of the shifts along the row lie on it alone, so the row bound
+    # is tight; the scale puts their norms above 1
+    metrics["reject row only"] = MetricField(1e3 * near_identity(p).g)
+    a = rng.uniform(-0.2, 0.2, (n, n))
+    c = rng.uniform(-0.1, 0.1, (n, n))
+    metrics["swap only"] = near_identity(np.stack([a, c + c.T, a.T]))
+    return metrics
+
+
+@pytest.mark.parametrize("n", [5, 12, 16])
+def test_isometry_candidates_match_the_per_candidate_scan(n):
+    for name, g in _scan_metrics(n).items():
+        for tol, expected in _reference_candidates(g, (1e-8, 3e-2, -1.0)).items():
+            assert isometry_candidates(g, tol) == expected, (name, tol)
+
+
+def test_period_subgroup_closure():
+    n = 12
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        steps = [tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(rng.integers(1, 4))]
+        period = np.zeros((n, n), dtype=bool)
+        period[0, 0] = True
+        for step in steps:
+            period = _subgroup(period, step)
+        # brute force: all integer combinations of the steps
+        expected = np.zeros((n, n), dtype=bool)
+        for ks in np.ndindex(*(n,) * len(steps)):
+            expected[sum(k * a for k, (a, _) in zip(ks, steps)) % n, sum(k * b for k, (_, b) in zip(ks, steps)) % n] = True
+        assert np.array_equal(period, expected), steps
+
+
+def test_isometry_row_bound_never_drops_a_passing_candidate():
+    # at each shift's own exact-test boundary, bound = its defect norm, the
+    # row bound must keep it; a fortiori it keeps every shift that passes at
+    # any smaller defect
+    n = 16
+    for name, g in _scan_metrics(n).items():
+        gs = g.as_stack()
+        bound = 1e-8 * ebin_norm(g, g.g)
+        for flip in ("id", "fx", "fy", "swap"):
+            move = _lattice_mover(gs, flip)
+            defects = np.array([_sym_norm(g, move(b) - gs) for b in np.ndindex(n, n)]).reshape(n, n)
+            kept = _row_survivors(g, _flipped(gs, flip), defects)
+            assert kept.all(), (name, flip, np.argwhere(~kept)[:4])
+            dropped = ~_row_survivors(g, _flipped(gs, flip), bound)
+            assert not np.any(dropped & (defects <= bound)), (name, flip)
 
 
 def test_slice_property_ii_surrogate_subsample():
