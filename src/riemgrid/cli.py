@@ -41,9 +41,7 @@ class RunConfig:
     grid: int
     seed: int
     tol_solver: float
-    tol_ode: float
     tol_decompose: float
-    radius: float
     in_dir: Path | None
     out_dir: Path | None
     report_path: Path | None
@@ -53,7 +51,7 @@ class RunConfig:
             raise ValueError("grid resolution must be at least 4")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        for name in ("tol_solver", "tol_ode", "tol_decompose", "radius"):
+        for name in ("tol_solver", "tol_decompose"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name.replace('_', '-')} must be positive")
 
@@ -91,7 +89,7 @@ def cmd_gen_examples(cfg: RunConfig):
     h0 = divergence_free_tensor(spec, cfg.seed + 2)
     h0 = h0 * (0.05 * norm_gamma / ebin_norm(gamma, h0))
     x_small = random_vector_field(spec, cfg.seed + 3, amplitude=0.002)
-    g = pullback(flow_exp(x_small, 1.0), ebin_exp(gamma, h0, 1.0, cfg.tol_ode).endpoint)
+    g = pullback(flow_exp(x_small, 1.0), ebin_exp(gamma, h0, 1.0).endpoint)
 
     write_field(out / "gamma.rgf", gamma)
     write_field(out / "s.rgf", s)
@@ -106,7 +104,7 @@ def cmd_gen_examples(cfg: RunConfig):
     n_steps = 5
     for k in range(n_steps + 1):
         t = k / n_steps
-        point = pullback(flow_exp(x_path, t), ebin_exp(gamma, t * h_path, 1.0, cfg.tol_ode).endpoint)
+        point = pullback(flow_exp(x_path, t), ebin_exp(gamma, t * h_path, 1.0).endpoint)
         write_field(out / f"path_{k:02d}.rgf", point, meta={"t": repr(t)})
 
     report = Report("gen-examples")
@@ -141,7 +139,7 @@ def cmd_exp(cfg: RunConfig):
     src = cfg.need_in()
     gamma = _load(src, "gamma.rgf")
     s = _load(src, "s.rgf")
-    path = ebin_exp(gamma, s, 1.0, tol=cfg.tol_ode)
+    path = ebin_exp(gamma, s, 1.0)
     if cfg.out_dir is not None:
         out = cfg.need_out()
         write_field(out / "endpoint.rgf", path.endpoint)
@@ -158,7 +156,7 @@ def cmd_log(cfg: RunConfig):
     gamma = _load(src, "gamma.rgf")
     g = _load(src, "g.rgf")
     s = ebin_log(gamma, g, tol=cfg.tol_decompose)
-    mismatch = ebin_norm(gamma, ebin_exp(gamma, s, 1.0, cfg.tol_ode).endpoint.g - g.g)
+    mismatch = ebin_norm(gamma, ebin_exp(gamma, s, 1.0).endpoint.g - g.g)
     rel = mismatch / max(ebin_norm(gamma, g.g), 1e-300)
     if cfg.out_dir is not None:
         out = cfg.need_out()
@@ -174,7 +172,7 @@ def cmd_decompose(cfg: RunConfig):
     src = cfg.need_in()
     gamma = _load(src, "gamma.rgf")
     g = _load(src, "g.rgf")
-    dec = slice_decompose(gamma, g, tol=cfg.tol_decompose, radius=cfg.radius)
+    dec = slice_decompose(gamma, g, tol=cfg.tol_decompose)
     if cfg.out_dir is not None:
         out = cfg.need_out()
         write_field(out / "phi.rgf", dec.phi)
@@ -356,9 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol-solver", type=float, default=1e-10, help="splitting tolerance: divergence left in h over that of s"
     )
-    parser.add_argument("--tol-ode", type=float, default=1e-8, help="geodesic speed-drift tolerance")
     parser.add_argument("--tol-decompose", type=float, default=1e-6, help="decomposition tolerance")
-    parser.add_argument("--radius", type=float, default=0.1, help="working radius for local charts")
     parser.add_argument("--in", dest="in_dir", type=Path, default=None, help="input directory")
     parser.add_argument("--out", dest="out_dir", type=Path, default=None, help="output directory")
     parser.add_argument("--report", dest="report_path", type=Path, default=None, help="report file")
@@ -388,9 +384,7 @@ def main(argv=None) -> int:
             grid=args.grid,
             seed=args.seed,
             tol_solver=args.tol_solver,
-            tol_ode=args.tol_ode,
             tol_decompose=args.tol_decompose,
-            radius=args.radius,
             in_dir=args.in_dir,
             out_dir=args.out_dir,
             report_path=args.report_path,

@@ -35,7 +35,7 @@ from .calculus import (
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import NoConvergence, SolverStall
 from .geodesics import _geodesic, _sym_inner, _sym_norm, ebin_exp, ebin_log, ebin_norm, relative_distance
-from .grid import GridSpec, MetricField, SymTensorField, VectorField, _flipped, _lattice_mover, interpolate
+from .grid import MetricField, SymTensorField, VectorField, _flipped, _lattice_mover, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +179,25 @@ def _one_form_norm(g: MetricField, ws: np.ndarray) -> float:
     return math.sqrt(max(_vector_inner_stack(g, xs, xs), 0.0))
 
 
-def _split_stacks(g: MetricField, b: np.ndarray) -> tuple:
-    """Solve div(L_X g) = b for the stack of X; returns (xs, method, iterations)."""
+def _split(g: MetricField, ss: np.ndarray) -> tuple:
+    """Split the stack ss into L_X g + h; returns (SplitResult, div ss).
+
+    Solves div(L_X g) = div ss for X: by FFT on a constant base, by PCG on a
+    curved one.  Nothing checks the divergence left in h.
+    """
+    b = _divergence_stack(g, ss)
     if _is_constant_metric(g):
         solve, _ = _fourier_solver(g.spec.n, *(float(c[0, 0]) for c in g.as_stack()))
-        return solve(b), "fft", 0
-    c = -2.0 * _vol_values(g) * b
-    xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), c)
-    return xs, "pcg", iterations
+        xs, method, iterations = solve(b), "fft", 0
+    else:
+        c = -2.0 * _vol_values(g) * b
+        xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), c)
+        method = "pcg"
+    lie = _lie_stack(g, xs)
+    hs = ss - lie
+    denom = max(_sym_inner(g, ss, ss), 1e-300)
+    defect = abs(_sym_inner(g, lie, hs)) / denom
+    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations, method), b
 
 
 def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -> SplitResult:
@@ -206,9 +217,7 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
     an ill-determined shift).  A tol below that floor raises SolverStall
     (retry with higher resolution or a looser tolerance).
     """
-    ss = s.values
-    b = _divergence_stack(g, ss)
-    split = _finish_split(g, ss, *_split_stacks(g, b))
+    split, b = _split(g, s.values)
     if split.method == "pcg":
         div_s_norm = _one_form_norm(g, b)
         achieved = _one_form_norm(g, _divergence_stack(g, split.h.values))
@@ -219,19 +228,6 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
                 f"PCG left divergence {achieved:.3e} above bound {bound:.3e} after {split.iterations} iterations"
             )
     return split
-
-
-def _project_unchecked(g: MetricField, ss: np.ndarray) -> SplitResult:
-    """Internal splitting without the divergence-bound verification."""
-    return _finish_split(g, ss, *_split_stacks(g, _divergence_stack(g, ss)))
-
-
-def _finish_split(g: MetricField, ss: np.ndarray, xs: np.ndarray, method: str, iterations: int) -> SplitResult:
-    lie = _lie_stack(g, xs)
-    hs = ss - lie
-    denom = max(_sym_inner(g, ss, ss), 1e-300)
-    defect = abs(_sym_inner(g, lie, hs)) / denom
-    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations, method)
 
 
 # ---------------------------------------------------------------------------
@@ -279,46 +275,43 @@ class SliceDecomposition:
     iterations: int
 
 
-def slice_decompose(
-    g_base: MetricField,
-    g: MetricField,
-    tol: float = 1e-6,
-    max_iter: int = 50,
-    radius: float = 0.1,
-) -> SliceDecomposition:
+# Gauss-Newton iteration cap of slice_decompose, and the relative distance
+# |g - g_base| / |g_base| beyond which it refuses a target
+_MAX_ITER = 50
+_RADIUS = 0.1
+
+
+def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> SliceDecomposition:
     """Invert the local product chart around g_base for a nearby metric g.
 
-    Iteration: pull g back to the base gauge, take the geodesic log, split off
-    the orbit component to update the gauge map, then drive the reconstruction
-    residual pullback(phi, exp(h)) - g to zero by projecting the pulled-back
-    residual.  Gauss-Newton steps are damped by 1/2 whenever the residual fails
-    to decrease.
+    Gauss-Newton on the miss g - pullback(phi, exp_base(h)), measured relative
+    to |g|.  Each iteration splits the miss, pulled back to the base gauge, at
+    the base (the first one splits the geodesic log of g): h takes on its
+    divergence-free part and phi flows along its gauge generator.  A step of
+    length lambda = 1, 1/2, ..., 1/128 is accepted only on sufficient
+    decrease, |miss| < (1 - lambda/4) times the last; a step that gains less
+    is halved.  A full step can overshoot to a mirror-image miss of about the
+    same size (the generator acts on exp_base(h), which varies more than the
+    base), and a rule that accepted any decrease would then stall.  Returns
+    when the miss and the pending gauge correction |L_X g| / |g| are both
+    within tol.  Raises NoConvergence for a target farther than _RADIUS from
+    the base, or when the miss is above tol after _MAX_ITER iterations or
+    once no step decreases it enough.
     """
     spec = g_base.spec
-    if relative_distance(g_base, g) > radius:
-        raise NoConvergence(f"target outside the documented working radius {radius}")
+    if relative_distance(g_base, g) > _RADIUS:
+        raise NoConvergence(f"target outside the documented working radius {_RADIUS}")
     norm_g = max(ebin_norm(g_base, g.g), 1e-300)
     base_stack = g_base.as_stack()
 
-    def reconstruction(phi: DiffeoGrid, hs: np.ndarray) -> MetricField:
-        end = MetricField.from_stack(spec, _geodesic(base_stack, hs, 1.0))
-        return pullback(phi, end)
-
     phi = identity_diffeo(spec)
     hs = np.zeros((3, spec.n, spec.n))
-    residual = relative_distance(g_base, g)
+    pending = ebin_log(g_base, g, tol=min(1e-8, tol))  # the miss in the base gauge
+    residual = ebin_norm(g_base, g.g - g_base.g) / norm_g
 
-    for it in range(1, max_iter + 1):
-        if it == 1:
-            pulled = pullback(invert(phi), g)
-            s_log = ebin_log(g_base, pulled, tol=min(1e-8, tol))
-            split = _project_unchecked(g_base, s_log.values)
-            new_hs = split.h.values
-        else:
-            # miss and residual belong to the step accepted last iteration
-            r_pulled = pullback(invert(phi), miss)
-            split = _project_unchecked(g_base, r_pulled.values)
-            new_hs = hs + split.h.values
+    for it in range(1, _MAX_ITER + 1):
+        split, _ = _split(g_base, pending.values)
+        new_hs = hs + split.h.values
 
         # the pending correction measures how far the gauge is from converged
         gauge = _sym_norm(g_base, _lie_stack(g_base, split.x.values)) / norm_g
@@ -329,17 +322,19 @@ def slice_decompose(
         for _ in range(8):
             trial_hs = hs + lam * (new_hs - hs)
             trial_phi = compose(phi, flow_exp(split.x, -lam))
-            trial_miss = g.g - reconstruction(trial_phi, trial_hs).g
+            end = MetricField.from_stack(spec, _geodesic(base_stack, trial_hs, 1.0))
+            trial_miss = g.g - pullback(trial_phi, end).g
             trial_res = ebin_norm(g_base, trial_miss) / norm_g
-            if trial_res < residual:
-                phi, hs, miss, residual = trial_phi, trial_hs, trial_miss, trial_res
+            if trial_res < (1.0 - 0.25 * lam) * residual:
+                phi, hs, residual = trial_phi, trial_hs, trial_res
+                pending = pullback(invert(phi), trial_miss)
                 break
             lam *= 0.5
         else:
-            break  # no damped step improves: stalled at the attainable floor
+            break  # no damped step decreases enough: stalled at the attainable floor
 
     if residual <= tol:
-        return SliceDecomposition(phi, SymTensorField(spec, hs), residual, max_iter)
+        return SliceDecomposition(phi, SymTensorField(spec, hs), residual, _MAX_ITER)
     raise NoConvergence(
         f"slice decomposition stalled at residual {residual:.3e} (tol {tol:.1e})"
     )
@@ -361,7 +356,7 @@ class MetricPath:
             raise ValueError("path needs matching times and points, at least two samples")
 
 
-def horizontal_lift(path: MetricPath, tol: float = 1e-6, max_iter: int = 50):
+def horizontal_lift(path: MetricPath, tol: float = 1e-6):
     """Lift a path so every discrete velocity is divergence-free at its point.
 
     Returns the lifted path (same start point) and the accumulated gauge maps:
@@ -373,7 +368,7 @@ def horizontal_lift(path: MetricPath, tol: float = 1e-6, max_iter: int = 50):
         base = lifted[k]
         target = pullback(invert(gauges[k]), path.points[k + 1])
         try:
-            dec = slice_decompose(base, target, tol=tol, max_iter=max_iter)
+            dec = slice_decompose(base, target, tol=tol)
         except NoConvergence as e:
             raise NoConvergence(f"lift failed at step {k + 1}: {e}") from e
         lifted.append(ebin_exp(base, dec.h, 1.0, tol=min(1e-8, tol)).endpoint)
@@ -418,12 +413,6 @@ class LatticeIsometry:
         qy = a[1, 0] * px + a[1, 1] * py + by
         return qx % 1.0, qy % 1.0
 
-    def as_diffeo(self, spec: GridSpec) -> DiffeoGrid:
-        from .diffeos import translation
-
-        if self.flip != "id":
-            raise ValueError("only translation candidates embed as displacement maps")
-        return translation(spec, (self.shift[0] / spec.n, self.shift[1] / spec.n))
 
 
 def lattice_transport(iso: LatticeIsometry, field):
@@ -559,13 +548,7 @@ def _torus_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(d)))
 
 
-def conjugate_isometries(
-    g_base: MetricField,
-    g: MetricField,
-    tol: float = 1e-6,
-    decompose_tol: float | None = None,
-    iso_tol: float = 1e-8,
-):
+def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6):
     """Carry the candidate isometries of g back to those of g_base.
 
     f is the gauge factor of the slice decomposition of g; for each candidate
@@ -577,12 +560,10 @@ def conjugate_isometries(
     """
     spec = g_base.spec
     n = spec.n
-    if decompose_tol is None:
-        decompose_tol = min(1e-2 * tol, 1e-6)
-    dec = slice_decompose(g_base, g, tol=decompose_tol)
+    dec = slice_decompose(g_base, g, tol=min(1e-2 * tol, 1e-6))
     f = dec.phi
-    iso_g = isometry_candidates(g, iso_tol)
-    iso_base = isometry_candidates(g_base, iso_tol)
+    iso_g = isometry_candidates(g)
+    iso_base = isometry_candidates(g_base)
     base_set = set(iso_base)
 
     x, y = spec.cell_centers()

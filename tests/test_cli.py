@@ -54,6 +54,14 @@ def test_lift_subcommand(example_dir, tmp_path):
     assert (out / "lifted_05.rgf").exists() and (out / "gauge_05.rgf").exists()
 
 
+def test_lift_where_full_gauge_steps_overshoot(tmp_path):
+    # at step 2 of this path a full Gauss-Newton step flips the sign of the
+    # pending translation and gains ~0.05%; accepting any decrease stalled there
+    argv = ["--grid", "32", "--seed", "161262171"]
+    assert main(argv + ["--out", str(tmp_path), "gen-examples"]) == 0
+    assert main(argv + ["--in", str(tmp_path), "lift"]) == 0
+
+
 def test_isometries_subcommand(example_dir):
     assert main(["--in", str(example_dir), "isometries"]) == 0
 
@@ -74,8 +82,12 @@ def test_usage_error_missing_inputs(tmp_path):
 
 def test_usage_error_bad_flags():
     assert main(["--grid", "2", "finite-demo"]) == 2
-    assert main(["--tol-ode", "-1", "finite-demo"]) == 2
+    assert main(["--tol-decompose", "-1", "finite-demo"]) == 2
     assert main(["--seed", "-3", "finite-demo"]) == 2
+    for removed in ("--radius", "--tol-ode"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([removed, "0.1", "finite-demo"])
+        assert exit_info.value.code == 2
 
 
 def test_numerical_error_exit_code(tmp_path):

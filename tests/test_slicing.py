@@ -268,7 +268,7 @@ def test_decompose_mixed_input_chart_roundtrip():
 def test_decompose_outside_radius_raises():
     g = constant_metric(SPEC, 1.5 * np.eye(2))
     with pytest.raises(NoConvergence):
-        slice_decompose(GAMMA, g, tol=1e-6, radius=0.1)
+        slice_decompose(GAMMA, g, tol=1e-6)
 
 
 def test_decompose_h_divergence_bound():
