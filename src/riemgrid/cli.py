@@ -52,8 +52,8 @@ class RunConfig:
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         for name in ("tol_solver", "tol_decompose"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name.replace('_', '-')} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name.replace('_', '-')} must be positive and finite")
 
     def need_in(self) -> Path:
         if self.in_dir is None:

@@ -84,6 +84,9 @@ def test_usage_error_bad_flags():
     assert main(["--grid", "2", "finite-demo"]) == 2
     assert main(["--tol-decompose", "-1", "finite-demo"]) == 2
     assert main(["--seed", "-3", "finite-demo"]) == 2
+    for flag in ("--tol-decompose", "--tol-solver"):
+        for value in ("nan", "inf"):
+            assert main([flag, value, "finite-demo"]) == 2
     for removed in ("--radius", "--tol-ode"):
         with pytest.raises(SystemExit) as exit_info:
             main([removed, "0.1", "finite-demo"])

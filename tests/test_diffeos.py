@@ -151,11 +151,27 @@ def test_flow_of_zero_and_constant_fields_takes_one_step():
     assert _rk4_steps(constant_vector(SPEC, (0.25, -0.1)), 1.0) == 1
 
 
-def test_flow_past_the_contraction_bound_fails_before_iterating():
-    # t max|X| = 0.05 passes the displacement bound, but the inverse fixed
-    # point v = -u(x + v) cannot contract at max ||Du||_2 = 1.52
-    x_field = random_vector_field(SPEC, 1, amplitude=0.05, max_mode=4)
-    with pytest.raises(NoConvergence, match=r"max \|\|Du\|\|_2 = 1\.5\d+ >= 1"):
+@pytest.mark.parametrize(
+    "seed, amplitude",
+    [
+        (1, 0.05),  # max ||Du||_2 = 1.52: the fixed point v = -u(x + v) could not contract
+        (6, 0.04),  # max ||Du||_2 = 0.97: the fixed point ran out of iterations
+    ],
+)
+def test_flow_inverts_where_the_fixed_point_could_not(seed, amplitude):
+    x_field = random_vector_field(SPEC, seed, amplitude=amplitude, max_mode=4)
+    phi = flow_exp(x_field, 1.0)
+    inv = invert(phi)
+    assert phi.inverse_residual <= 1e-12
+    assert inv.inverse_residual <= 1e-12
+    assert np.max(np.abs(compose(phi, inv).u.values)) <= 1e-10
+
+
+def test_flow_whose_inverse_diverges_raises():
+    # det(I + Du) >= 0.34 passes the sign check, but at max ||Du||_2 = 1.60
+    # the Newton iterate for the inverse diverges
+    x_field = random_vector_field(SPEC, 7, amplitude=0.05, max_mode=4)
+    with pytest.raises(NoConvergence, match=r"residual"):
         flow_exp(x_field, 1.0)
 
 
