@@ -84,10 +84,6 @@ def _lattice_shift(spec: GridSpec, us: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def _sample_vector(u: VectorField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    return np.stack([interpolate(u.v1, px, py), interpolate(u.v2, px, py)])
-
-
 def _build(spec: GridSpec, us: np.ndarray, start: np.ndarray | None = None) -> DiffeoGrid:
     """Validate a forward displacement and attach its Newton inverse, started from `start` (default -u)."""
     if not np.all(np.isfinite(us)):
@@ -105,7 +101,7 @@ def _build(spec: GridSpec, us: np.ndarray, start: np.ndarray | None = None) -> D
     vs = -us if start is None else start
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_INVERSE_MAX_ITER):
-            r = _sample_vector(u, x + vs[0], y + vs[1]) + vs
+            r = interpolate(u, x + vs[0], y + vs[1]) + vs
             residual = float(np.max(np.abs(r)))
             if residual <= _INVERSE_TOL:
                 return DiffeoGrid(spec, u, VectorField(spec, vs), residual)
@@ -140,7 +136,7 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
         return translation(phi.spec, cu + cv)
     x, y = phi.spec.cell_centers()
     us_psi = psi.u.values
-    us = us_psi + _sample_vector(phi.u, x + us_psi[0], y + us_psi[1])
+    us = us_psi + interpolate(phi.u, x + us_psi[0], y + us_psi[1])
     return _build(phi.spec, us)
 
 
@@ -184,7 +180,7 @@ def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> Diff
     dt = t / n_steps
 
     def vel(q: np.ndarray) -> np.ndarray:
-        return _sample_vector(x_field, q[0], q[1])
+        return interpolate(x_field, q[0], q[1])
 
     for _ in range(n_steps):
         k1 = vel(p)
@@ -220,7 +216,7 @@ def pullback(phi: DiffeoGrid, field):
 
     (d11, j21), (j12, d22) = stencil_gradient(vs, spec.h)
     j11, j22 = 1.0 + d11, 1.0 + d22
-    a, b, c = (interpolate(comp, bx, by) for comp in (field.s11, field.s12, field.s22))
+    a, b, c = interpolate(field, bx, by)
     # columns of J are the transported basis vectors; congruence J^T g J
     s11 = j11 * (a * j11 + b * j21) + j21 * (b * j11 + c * j21)
     s12 = j11 * (a * j12 + b * j22) + j21 * (b * j12 + c * j22)

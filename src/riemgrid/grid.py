@@ -6,6 +6,13 @@ the nodes, exact on constants), differentiation is the 4th-order central
 stencil with wraparound, and quadrature is the midpoint rule, which is
 spectrally accurate for smooth periodic integrands.
 
+The spline is the cubic B-spline series whose values at the nodes are the
+samples.  Its coefficients come from one FFT of the whole stack: sampling the
+B-spline at the nodes multiplies by the symbol (4 + 2 cos theta)/6 on each
+axis, so the prefilter divides by it.  They are wrap-padded to rows and columns
+-1 ... n+1 and cached once per field.  A point is evaluated from one cell index
+and one set of 4 + 4 cubic weights, shared by every component of the field.
+
 A field stores its samples as one read-only float64 array: (n, n) for a
 scalar, (k, n, n) for a field with k components, in the order the component
 names list them (v1 v2, s11 s12 s22, ...).  The array is validated and copied
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PositivityLoss
 
@@ -93,6 +99,15 @@ class _Field:
     def as_stack(self) -> np.ndarray:
         return self.values
 
+    @cached_property
+    def _spline_coef(self) -> np.ndarray:
+        """Spline coefficients of every component, wrap-padded to rows and columns -1 ... n+1."""
+        n = self.spec.n
+        symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
+        spectrum = np.fft.rfft2(self.values) / np.outer(symbol, symbol[: n // 2 + 1])
+        wrap = np.arange(-1, n + 2) % n
+        return np.fft.irfft2(spectrum, s=(n, n))[..., wrap[:, None], wrap]
+
     def __add__(self, other):
         return type(self)(self.spec, self.values + other.values)
 
@@ -111,29 +126,52 @@ class _Field:
 class ScalarField(_Field):
     """n x n real samples at cell centers."""
 
-    @cached_property
-    def _spline_coef(self) -> np.ndarray:
-        return ndimage.spline_filter(self.values, order=3, mode="grid-wrap")
-
 
 def _component(index: int) -> cached_property:
-    """One stored component as a ScalarField view, cached with its spline coefficients."""
+    """One stored component as a cached ScalarField view of one slice of the field's array."""
     return cached_property(lambda field: ScalarField._wrap(field.spec, field.values[index]))
 
 
-def interpolate(f: ScalarField, x, y):
-    """Periodic bicubic interpolation of f at points (x, y).
+# Points are first reduced mod _WRAP, exactly: only coordinates of magnitude
+# 2**19 and more move.  The cell coordinate x n - 1/2 then cannot overflow,
+# and it is small enough that its floor and its reduction mod n are exact.
+_WRAP = 2.0 ** 20
 
-    Points are reduced mod 1; negative coordinates are fine.  Scalar inputs
-    give a float, array inputs an array of the same shape.
+
+def _bspline_weights(s: np.ndarray) -> np.ndarray:
+    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at offsets s in [0, 1), shape (4,) + s.shape."""
+    q = np.stack([1.0 - s, s])
+    q2 = q * q
+    ends = q2 * q / 6.0
+    mids = (3.0 * q2 * (q - 2.0) + 4.0) / 6.0
+    return np.stack([ends[0], mids[1], mids[0], ends[1]])
+
+
+def interpolate(field: _Field, x, y):
+    """Periodic cubic spline of every component of a field at points (x, y).
+
+    Points are reduced mod 1, so negative and large coordinates are fine; a
+    point with a non-finite coordinate gives NaN.  A field with k components
+    gives an array of shape (k,) + x.shape, a scalar field one of x.shape, and
+    a float for scalar x and y.
     """
-    n = f.spec.n
+    coef = field._spline_coef
+    p = coef.shape[-1]
+    n = p - 3
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    coords = np.stack([x * n - 0.5, y * n - 0.5])
-    out = ndimage.map_coordinates(
-        f._spline_coef, coords.reshape(2, -1), order=3, mode="grid-wrap", prefilter=False
-    ).reshape(x.shape)
+    pts = np.stack([x, np.asarray(y, dtype=np.float64)]).reshape(2, -1)
+    finite = np.isfinite(pts).all(axis=0)
+    pts = np.where(finite, pts, 0.0)
+    pts = pts - _WRAP * np.round(pts / _WRAP)
+    t = pts * n - 0.5  # cell coordinates, node j at t = j
+    cell = np.floor(t)
+    w = _bspline_weights(t - cell)
+    # cell mod n; padded row (column) cell + a holds node cell - 1 + a
+    cell = (cell - n * np.floor(cell / n)).astype(np.intp)
+    neighbours = cell[0] * p + cell[1] + (np.arange(4)[:, None, None] * p + np.arange(4)[:, None])
+    samples = coef.reshape(-1, p * p).take(neighbours, axis=1)  # (k, 4, 4, m)
+    out = np.einsum("kabm,am,bm->km", samples, w[:, 0], w[:, 1])
+    out = np.where(finite, out, np.nan).reshape(coef.shape[:-2] + x.shape)
     if out.ndim == 0:
         return float(out)
     return out

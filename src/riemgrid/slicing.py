@@ -573,8 +573,7 @@ def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6)
     worst = 0.0
     for iota in iso_g:
         zx, zy = iota.map_points(n, fwd[0] % 1.0, fwd[1] % 1.0)
-        qx = (zx + interpolate(f.v.v1, zx, zy)) % 1.0
-        qy = (zy + interpolate(f.v.v2, zx, zy)) % 1.0
+        qx, qy = (np.stack([zx, zy]) + interpolate(f.v, zx, zy)) % 1.0
 
         def deviation(kappa: LatticeIsometry) -> float:
             kx, ky = kappa.map_points(n, x, y)

@@ -1,11 +1,18 @@
 """Command-line harness: subcommands, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from riemgrid.cli import main
 from riemgrid.fileio import write_field
 from riemgrid.grid import GridSpec, constant_metric, identity_metric
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +109,36 @@ def test_numerical_error_exit_code(tmp_path):
     assert main(["--in", str(src), "decompose"]) == 3
 
 
-def test_reports_reproducible(example_dir, tmp_path):
+@pytest.mark.parametrize("subcommand", ["project", "decompose", "lift"])
+def test_reports_reproducible(example_dir, tmp_path, subcommand):
+    # the second run finds the caches warm
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-    assert main(["--in", str(example_dir), "--report", str(r1), "project"]) == 0
-    assert main(["--in", str(example_dir), "--report", str(r2), "project"]) == 0
+    assert main(["--in", str(example_dir), "--report", str(r1), subcommand]) == 0
+    assert main(["--in", str(example_dir), "--report", str(r2), subcommand]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the CLI chain still runs and leaves no scipy module loaded
+    script = """
+import sys
+sys.modules["scipy"] = None
+from riemgrid.cli import main
+d = sys.argv[1]
+argv = ["--grid", "16", "--seed", "3"]
+assert main(argv + ["--out", d + "/in", "gen-examples"]) == 0
+assert main(argv + ["--in", d + "/in", "--out", d + "/decompose", "decompose"]) == 0
+assert main(argv + ["--in", d + "/in", "--out", d + "/lift", "lift"]) == 0
+del sys.modules["scipy"]
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_gen_examples_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from riemgrid.calculus import ChristoffelField, OneFormField
 from riemgrid.diffeos import from_displacement
@@ -112,6 +113,53 @@ def test_interpolate_exact_at_cell_centers():
     x, y = spec.cell_centers()
     vals = interpolate(f, x, y)
     assert np.max(np.abs(vals - f.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_interpolate_matches_scipy_spline(n):
+    # scipy is a test-only oracle: its periodic cubic spline, prefiltered and
+    # sampled at the same cell coordinates x n - 1/2
+    spec = GridSpec(n)
+    rng = np.random.default_rng(n)
+    # random points and exact cell boundaries and centers, all in [-2, 3)
+    grid_points = np.arange(-2 * n, 3 * n) / n
+    x = np.concatenate([rng.uniform(-2.0, 3.0, 4 * n), grid_points, grid_points + 0.5 / n])
+    y = np.concatenate([rng.uniform(-2.0, 3.0, 4 * n), rng.permutation(grid_points), grid_points[::-1]])
+    coords = np.stack([x * n - 0.5, y * n - 0.5])
+    for field_type in (ScalarField, VectorField, SymTensorField):
+        k = field_type._k
+        values = rng.standard_normal((k, n, n) if k else (n, n))
+        field = field_type(spec, values)
+        got = interpolate(field, x, y).reshape(-1, x.size)
+        for component, sampled in zip(values.reshape(-1, n, n), got):
+            coef = ndimage.spline_filter(component, order=3, mode="grid-wrap")
+            want = ndimage.map_coordinates(coef, coords, order=3, mode="grid-wrap", prefilter=False)
+            assert np.max(np.abs(sampled - want)) <= 1e-14 * np.max(np.abs(values))
+            # every component of a k-component call equals its own scalar call
+            assert np.array_equal(sampled, interpolate(ScalarField(spec, component), x, y))
+
+
+def test_interpolate_non_finite_points_give_nan():
+    spec = GridSpec(16)
+    rng = np.random.default_rng(4)
+    f = ScalarField(spec, rng.standard_normal((16, 16)))
+    x = np.array([np.nan, np.inf, -np.inf, 0.3, 0.3, 0.3])
+    y = np.array([0.2, 0.2, 0.2, np.nan, -np.inf, 0.7])
+    vals = interpolate(f, x, y)  # a RuntimeWarning would fail the test
+    assert np.all(np.isnan(vals[:5]))
+    assert abs(vals[5] - interpolate(f, 0.3, 0.7)) <= 1e-14
+    assert np.isnan(interpolate(f, np.nan, 0.5))
+    # huge finite coordinates are reduced mod 1 exactly: past 2**53 every
+    # double is an integer, so they sample the line x = 0
+    huge = ((2.0**19 + 0.25, 0.25), (1e15 + 0.75, 0.75), (-1e15 - 0.25, 0.75), (1e300, 0.0), (-1.7e308, 0.0))
+    for big, reduced in huge:
+        assert interpolate(f, big, 0.4) == interpolate(f, reduced, 0.4)
+        assert interpolate(f, 0.4, big) == interpolate(f, 0.4, reduced)
+    # every component of a field is NaN at the point
+    v = VectorField(spec, rng.standard_normal((2, 16, 16)))
+    vals = interpolate(v, x, y)
+    assert vals.shape == (2, 6)
+    assert np.all(np.isnan(vals[:, :5])) and np.all(np.isfinite(vals[:, 5]))
 
 
 def test_derivative_of_constant_is_zero():
