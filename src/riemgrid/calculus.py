@@ -5,6 +5,9 @@ inverse, and all spatial derivatives use the shared 4th-order stencils from
 grid, so discrete identities degrade uniformly.  The flat metric passes
 through the same code path as any other metric.  A MetricField is checked
 positive-definite at construction and immutable, so nothing here re-checks it.
+Its inverse, volume density and gradients are the metric's own cached,
+read-only arrays (grid.MetricField): computed once per metric and freed with
+it, so this module keeps no cache.
 
 Sign convention for the orbit pairing: with (div S)_j = nabla_i S^i_j lowered
 back to a one-form, the duality reads
@@ -19,19 +22,16 @@ covariant divergence to 4th order.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .grid import (
+    _SYM,
     MetricField,
     ScalarField,
     SymTensorField,
     VectorField,
     _component,
-    _det,
     _Field,
-    _inv,
     stencil_derivative,
     stencil_gradient,
 )
@@ -45,8 +45,6 @@ class OneFormField(_Field):
     w2 = _component(1)
 
 
-# index of the stored component (11, 12, 22) that holds the symmetric entry [b][c]
-_SYM = np.array([[0, 1], [1, 2]])
 # stored order of the six symbols c^k_ij with i <= j, as (k, i, j) index arrays
 _CHRIS_STORED = ([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1])
 
@@ -67,38 +65,22 @@ class ChristoffelField(_Field):
         return self.values[np.array([_SYM, _SYM + 3])]
 
 
-@lru_cache(maxsize=32)
-def _inv_stack(g: MetricField) -> np.ndarray:
-    return _inv(g.as_stack())
-
-
-@lru_cache(maxsize=32)
-def _vol_values(g: MetricField) -> np.ndarray:
-    return np.sqrt(_det(g.as_stack()))
-
-
-@lru_cache(maxsize=32)
-def _metric_gradients(g: MetricField) -> np.ndarray:
-    """dg[a][b][c] = D_a g_bc, shape (2, 2, 2, n, n)."""
-    return stencil_gradient(g.as_stack(), g.spec.h)[:, _SYM]
-
-
 def metric_inverse(g: MetricField) -> SymTensorField:
     """Pointwise 2x2 inverse of the metric."""
-    return SymTensorField(g.spec, _inv_stack(g))
+    return SymTensorField._wrap(g.spec, g._inverse)
 
 
 def volume_density(g: MetricField) -> ScalarField:
     """sqrt(det g) at every cell."""
-    return ScalarField(g.spec, _vol_values(g))
+    return ScalarField._wrap(g.spec, g._volume)
 
 
 def christoffels(g: MetricField) -> ChristoffelField:
     """Levi-Civita symbols c^k_ij = (1/2) g^{kl} (D_i g_lj + D_j g_li - D_l g_ij)."""
-    dg = _metric_gradients(g)
+    dg = g._gradients
     # (D_i g_lj + D_j g_li - D_l g_ij) at [l, i, j]
     t = np.einsum("ilj...->lij...", dg) + np.einsum("jli...->lij...", dg) - dg
-    gamma = 0.5 * np.einsum("kl...,lij...->kij...", _inv_stack(g)[_SYM], t)
+    gamma = 0.5 * np.einsum("kl...,lij...->kij...", g._inverse[_SYM], t)
     return ChristoffelField(g.spec, gamma[_CHRIS_STORED])
 
 
@@ -110,7 +92,7 @@ def lie_derivative_metric(g: MetricField, x: VectorField) -> SymTensorField:
 def _lie_stack(g: MetricField, xs: np.ndarray) -> np.ndarray:
     gs = g.as_stack()
     comp = [[gs[0], gs[1]], [gs[1], gs[2]]]
-    dg = _metric_gradients(g)
+    dg = g._gradients
     dx = stencil_gradient(xs, g.spec.h)  # dx[i][k] = D_i X^k
     out = np.empty((3,) + xs[0].shape)
     for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
@@ -134,9 +116,7 @@ def divergence(g: MetricField, s: SymTensorField) -> OneFormField:
 def _divergence_stack(g: MetricField, ss: np.ndarray) -> np.ndarray:
     # -(1/(2 vol)) L^T W s, with L^T built from _lie_stack term by term by D^T = -D
     h = g.spec.h
-    inv = _inv_stack(g)
-    vol = _vol_values(g)
-    dg = _metric_gradients(g)
+    inv, vol, dg = g._inverse, g._volume, g._gradients
     m = _sym_product(inv, ss)  # (g^-1 s)^i_k as (m11, m12, m21, m22)
     t11, t12, t22 = m[0] * inv[0] + m[1] * inv[1], m[0] * inv[1] + m[1] * inv[2], m[2] * inv[1] + m[3] * inv[2]
     flux = stencil_derivative(vol * np.stack(m[:2]), 1, h) + stencil_derivative(vol * np.stack(m[2:]), 2, h)
@@ -149,7 +129,7 @@ def sharp(g: MetricField, w: OneFormField) -> VectorField:
 
 
 def _sharp_stack(g: MetricField, ws: np.ndarray) -> np.ndarray:
-    inv = _inv_stack(g)
+    inv = g._inverse
     return np.stack([inv[0] * ws[0] + inv[1] * ws[1], inv[1] * ws[0] + inv[2] * ws[1]])
 
 
@@ -162,7 +142,7 @@ def flat(g: MetricField, x: VectorField) -> OneFormField:
 
 def trace_pairing(g: MetricField, s: SymTensorField, t: SymTensorField) -> ScalarField:
     """Pointwise tr(g^{-1} s g^{-1} t)."""
-    return ScalarField(g.spec, _trace_pairing_values(_inv_stack(g), s.values, t.values))
+    return ScalarField(g.spec, _trace_pairing_values(g._inverse, s.values, t.values))
 
 
 def _trace_pairing_values(inv: np.ndarray, ss: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -196,4 +176,4 @@ def vector_inner(g: MetricField, x: VectorField, y: VectorField) -> float:
 def _vector_inner_stack(g: MetricField, xs: np.ndarray, ys: np.ndarray) -> float:
     gs = g.as_stack()
     dens = gs[0] * xs[0] * ys[0] + gs[1] * (xs[0] * ys[1] + xs[1] * ys[0]) + gs[2] * xs[1] * ys[1]
-    return float(g.spec.h ** 2 * np.sum(dens * _vol_values(g)))
+    return float(g.spec.h ** 2 * np.sum(dens * g._volume))

@@ -23,7 +23,7 @@ from .calculus import divergence, lie_derivative_metric
 from .diffeos import flow_exp, pullback
 from .errors import FormatError, RiemgridError, ValidationError
 from .fileio import Report, read_field, read_field_meta, write_field, write_report
-from .geodesics import ebin_exp, ebin_log, ebin_norm
+from .geodesics import _exp_endpoint, ebin_exp, ebin_log, ebin_norm
 from .grid import GridSpec, identity_metric
 from .sampling import divergence_free_tensor, random_sym_tensor, random_vector_field
 from .slicing import (
@@ -89,7 +89,7 @@ def cmd_gen_examples(cfg: RunConfig):
     h0 = divergence_free_tensor(spec, cfg.seed + 2)
     h0 = h0 * (0.05 * norm_gamma / ebin_norm(gamma, h0))
     x_small = random_vector_field(spec, cfg.seed + 3, amplitude=0.002)
-    g = pullback(flow_exp(x_small, 1.0), ebin_exp(gamma, h0, 1.0).endpoint)
+    g = pullback(flow_exp(x_small, 1.0), _exp_endpoint(gamma, h0.values))
 
     write_field(out / "gamma.rgf", gamma)
     write_field(out / "s.rgf", s)
@@ -104,7 +104,7 @@ def cmd_gen_examples(cfg: RunConfig):
     n_steps = 5
     for k in range(n_steps + 1):
         t = k / n_steps
-        point = pullback(flow_exp(x_path, t), ebin_exp(gamma, t * h_path, 1.0).endpoint)
+        point = pullback(flow_exp(x_path, t), _exp_endpoint(gamma, t * h_path.values))
         write_field(out / f"path_{k:02d}.rgf", point, meta={"t": repr(t)})
 
     report = Report("gen-examples")
@@ -156,7 +156,7 @@ def cmd_log(cfg: RunConfig):
     gamma = _load(src, "gamma.rgf")
     g = _load(src, "g.rgf")
     s = ebin_log(gamma, g, tol=cfg.tol_decompose)
-    mismatch = ebin_norm(gamma, ebin_exp(gamma, s, 1.0).endpoint.g - g.g)
+    mismatch = ebin_norm(gamma, _exp_endpoint(gamma, s.values).g - g.g)
     rel = mismatch / max(ebin_norm(gamma, g.g), 1e-300)
     if cfg.out_dir is not None:
         out = cfg.need_out()

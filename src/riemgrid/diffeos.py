@@ -36,7 +36,6 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
-    _lattice_mover,
     interpolate,
     stencil_gradient,
 )
@@ -206,7 +205,7 @@ def pullback(phi: DiffeoGrid, field):
 
     shift = phi.lattice_shift()
     if shift is not None:
-        return type(field)(spec, _lattice_mover(field.values, "id")(shift))
+        return type(field)(spec, np.roll(field.values, shift, axis=(-2, -1)))
 
     x, y = spec.cell_centers()
     vs = phi.v.values

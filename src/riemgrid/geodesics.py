@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _inv_stack, _trace_pairing_values, _vol_values
+from .calculus import _trace_pairing_values
 from .errors import NoConvergence, PositivityLoss, ToleranceNotMet
-from .grid import MetricField, SymTensorField, _det, _inv
+from .grid import MetricField, SymTensorField, _det
 
 # sample times of a returned path: the speed check runs between them
 _SAMPLES = 17
@@ -47,7 +47,7 @@ def ebin_inner(g: MetricField, s: SymTensorField, t: SymTensorField) -> float:
 
 def _sym_inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> float:
     """ebin_inner on (3, n, n) stacks."""
-    vals = _trace_pairing_values(_inv_stack(g), a, b) * _vol_values(g)
+    vals = _trace_pairing_values(g._inverse, a, b) * g._volume
     return float(g.spec.h ** 2 * np.sum(vals))
 
 
@@ -109,13 +109,13 @@ def _trace(inv: np.ndarray, s: np.ndarray) -> np.ndarray:
     return inv[0] * s[0] + 2.0 * inv[1] * s[1] + inv[2] * s[2]
 
 
-def _geodesic(g: np.ndarray, s: np.ndarray, t, velocity: bool = False):
-    """Closed-form exp_g(t s) and, if asked, its t-derivative.
+def _geodesic(metric: MetricField, s: np.ndarray, t, velocity: bool = False):
+    """Closed-form exp_g(t s) and, if asked, its t-derivative, as stacks.
 
-    g and s are (3, n, n) stacks; t is a float or an array of times with shape
+    s is a (3, n, n) stack; t is a float or an array of times with shape
     (m, 1, 1), which adds a leading time axis to the results.
     """
-    inv = _inv(g)
+    g, inv = metric.as_stack(), metric._inverse
     a = _trace(inv, s)
     k0 = s - 0.5 * a * g  # g A_0
     lam = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
@@ -151,7 +151,7 @@ def ebin_exp(g: MetricField, s: SymTensorField, t_end: float = 1.0, tol: float =
     if t_end == 0.0 or not np.any(s.values):
         return GeodesicPath(g, s, (GeodesicSample(0.0, g, s), GeodesicSample(t_end, g, s)), 0, 0.0)
     times = np.linspace(0.0, t_end, _SAMPLES)
-    points, velocities = _geodesic(g.as_stack(), s.values, times[:, None, None], velocity=True)
+    points, velocities = _geodesic(g, s.values, times[:, None, None], velocity=True)
     samples = [GeodesicSample(0.0, g, s)]
     for t, point, vel in zip(times[1:], points[1:], velocities[1:]):
         metric = MetricField.from_stack(spec, point)
@@ -166,6 +166,13 @@ def ebin_exp(g: MetricField, s: SymTensorField, t_end: float = 1.0, tol: float =
     return GeodesicPath(g, s, tuple(samples), _SAMPLES - 1, drift)
 
 
+def _exp_endpoint(g: MetricField, s: np.ndarray) -> MetricField:
+    """exp_g(s) alone: ebin_exp(g, s).endpoint, bitwise, without the sampled path and its speed check."""
+    if not np.any(s):
+        return g
+    return MetricField.from_stack(g.spec, _geodesic(g, s, 1.0))
+
+
 def ebin_log(g_base: MetricField, g_target: MetricField, tol: float = 1e-8) -> SymTensorField:
     """Initial velocity S with exp(g_base, S, 1).endpoint = g_target, in closed form.
 
@@ -177,9 +184,8 @@ def ebin_log(g_base: MetricField, g_target: MetricField, tol: float = 1e-8) -> S
     relative sigma norm.
     """
     spec = g_base.spec
-    g = g_base.as_stack()
+    g, inv = g_base.as_stack(), g_base._inverse
     k = g_target.as_stack()
-    inv = _inv(g)
     half_tr = 0.5 * _trace(inv, k)
     k0 = k - half_tr * g  # g B_0
     mu = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
@@ -197,7 +203,7 @@ def ebin_log(g_base: MetricField, g_target: MetricField, tol: float = 1e-8) -> S
     scale = np.sinc(alpha / np.pi) / (r * _sinhc(2.0 * alpha))
     s = np.stack([2.0 * p_minus_1 * g[j] + scale * k0[j] for j in range(3)])
 
-    miss = _geodesic(g, s, 1.0) - k
+    miss = _geodesic(g_base, s, 1.0) - k
     mismatch = _sym_norm(g_base, miss)
     if mismatch > tol * max(ebin_norm(g_base, g_target.g), 1e-300):
         raise NoConvergence(f"closed-form log missed the target by {mismatch:.3e} (tol {tol:.3e})")

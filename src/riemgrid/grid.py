@@ -10,7 +10,7 @@ The spline is the cubic B-spline series whose values at the nodes are the
 samples.  Its coefficients come from one FFT of the whole stack: sampling the
 B-spline at the nodes multiplies by the symbol (4 + 2 cos theta)/6 on each
 axis, so the prefilter divides by it.  They are wrap-padded to rows and columns
--1 ... n+1 and cached once per field.  A point is evaluated from one cell index
+-1 ... n+1 and cached on the field.  A point is evaluated from one cell index
 and one set of 4 + 4 cubic weights, shared by every component of the field.
 
 A field stores its samples as one read-only float64 array: (n, n) for a
@@ -21,6 +21,10 @@ as_stack() returns it and each named component is a cached ScalarField view
 of one slice.  The stencils act on whole stacks: x and y are the last two
 array axes, so one call differentiates every component of a field.  Every
 operation here is a pure function.
+
+Derived data (a field's spline coefficients; a metric's inverse, volume
+density and gradients) is a cached_property of the object it derives from:
+computed once, on first use, read-only, and freed with that object.
 """
 
 from __future__ import annotations
@@ -53,15 +57,18 @@ class GridSpec:
         return np.meshgrid(c, c, indexing="ij")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _frozen(values: np.ndarray, shape: tuple) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"expected {shape} samples, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field contains non-finite samples")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +113,7 @@ class _Field:
         symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
         spectrum = np.fft.rfft2(self.values) / np.outer(symbol, symbol[: n // 2 + 1])
         wrap = np.arange(-1, n + 2) % n
-        return np.fft.irfft2(spectrum, s=(n, n))[..., wrap[:, None], wrap]
+        return _read_only(np.fft.irfft2(spectrum, s=(n, n))[..., wrap[:, None], wrap])
 
     def __add__(self, other):
         return type(self)(self.spec, self.values + other.values)
@@ -245,9 +252,17 @@ def _inv(stack: np.ndarray) -> np.ndarray:
     return np.stack([stack[2] / det, -stack[1] / det, stack[0] / det])
 
 
+# index of the stored component (11, 12, 22) that holds the symmetric entry [b][c]
+_SYM = np.array([[0, 1], [1, 2]])
+
+
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Pointwise symmetric positive-definite 2x2 field: a point of the metric space."""
+    """Pointwise symmetric positive-definite 2x2 field: a point of the metric space.
+
+    Its inverse, volume density and stencil gradients are computed on first
+    use, cached on the metric as read-only arrays, and freed with it.
+    """
 
     g: SymTensorField
 
@@ -255,6 +270,21 @@ class MetricField:
         gs = self.g.values
         if not (np.all(gs[0] > 0.0) and np.all(_det(gs) > 0.0)):
             raise PositivityLoss("metric is not positive-definite at every cell")
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """Pointwise inverse g^{ij} as a (3, n, n) stack."""
+        return _read_only(_inv(self.g.values))
+
+    @cached_property
+    def _volume(self) -> np.ndarray:
+        """sqrt(det g), shape (n, n)."""
+        return _read_only(np.sqrt(_det(self.g.values)))
+
+    @cached_property
+    def _gradients(self) -> np.ndarray:
+        """dg[a][b][c] = D_a g_bc, shape (2, 2, 2, n, n)."""
+        return _read_only(stencil_gradient(self.g.values, self.spec.h)[:, _SYM])
 
     @property
     def spec(self) -> GridSpec:
@@ -280,21 +310,14 @@ class MetricField:
         return cls(SymTensorField(spec, stack))
 
 
-def _lattice_mover(values: np.ndarray, flip: str):
-    """Exact lattice motion of scalar or symmetric-tensor samples, as shift -> moved samples.
-
-    flip is "id", "fx", "fy" (negate x or y) or "swap" (exchange x and y).  It
-    acts once (_flipped); the returned function then rolls the flipped
-    samples by a cell shift (b1, b2), so cell (i, j) receives the flipped
-    sample at ((i - b1) % n, (j - b2) % n).
-    """
-    values = _flipped(values, flip)
-    return lambda shift: np.roll(values, shift, axis=(-2, -1))
-
-
 def _flipped(values: np.ndarray, flip: str) -> np.ndarray:
-    """Samples moved by a flip alone: the grid axes sliced or transposed, plus
-    the sign of s12 or the exchange of s11 and s22 that it implies on a (3, n, n) stack."""
+    """Scalar or symmetric-tensor samples moved by a flip alone.
+
+    flip is "id", "fx", "fy" (negate x or y) or "swap" (exchange x and y): the
+    grid axes sliced or transposed, plus the sign of s12 or the exchange of
+    s11 and s22 that it implies on a (3, n, n) stack.  np.roll by a cell shift
+    (b1, b2) over the last two axes then completes a lattice motion.
+    """
     if flip != "id" and values.ndim == 3 and len(values) != 3:
         raise ValueError("flips move only scalar and symmetric-tensor samples")
     if flip == "fx":

@@ -23,19 +23,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .calculus import (
-    _divergence_stack,
-    _inv_stack,
-    _lie_stack,
-    _sharp_stack,
-    _trace_pairing_values,
-    _vector_inner_stack,
-    _vol_values,
-)
+from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _trace_pairing_values, _vector_inner_stack
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import NoConvergence, SolverStall
-from .geodesics import _geodesic, _sym_inner, _sym_norm, ebin_exp, ebin_log, ebin_norm, relative_distance
-from .grid import MetricField, SymTensorField, VectorField, _flipped, _lattice_mover, interpolate
+from .geodesics import _exp_endpoint, _sym_inner, _sym_norm, ebin_log, ebin_norm, relative_distance
+from .grid import MetricField, SymTensorField, VectorField, _flipped, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +73,7 @@ def _is_constant_metric(g: MetricField) -> bool:
 
 def _split_operator(g: MetricField, xs: np.ndarray) -> np.ndarray:
     """K X = L^T W L X = -2 vol div(L_X g), symmetric positive semi-definite."""
-    return -2.0 * _vol_values(g) * _divergence_stack(g, _lie_stack(g, xs))
+    return -2.0 * g._volume * _divergence_stack(g, _lie_stack(g, xs))
 
 
 @lru_cache(maxsize=8)
@@ -190,7 +182,7 @@ def _split(g: MetricField, ss: np.ndarray) -> tuple:
         solve, _ = _fourier_solver(g.spec.n, *(float(c[0, 0]) for c in g.as_stack()))
         xs, method, iterations = solve(b), "fft", 0
     else:
-        c = -2.0 * _vol_values(g) * b
+        c = -2.0 * g._volume * b
         xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), c)
         method = "pcg"
     lie = _lie_stack(g, xs)
@@ -302,7 +294,6 @@ def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> S
     if relative_distance(g_base, g) > _RADIUS:
         raise NoConvergence(f"target outside the documented working radius {_RADIUS}")
     norm_g = max(ebin_norm(g_base, g.g), 1e-300)
-    base_stack = g_base.as_stack()
 
     phi = identity_diffeo(spec)
     hs = np.zeros((3, spec.n, spec.n))
@@ -322,8 +313,7 @@ def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> S
         for _ in range(8):
             trial_hs = hs + lam * (new_hs - hs)
             trial_phi = compose(phi, flow_exp(split.x, -lam))
-            end = MetricField.from_stack(spec, _geodesic(base_stack, trial_hs, 1.0))
-            trial_miss = g.g - pullback(trial_phi, end).g
+            trial_miss = g.g - pullback(trial_phi, _exp_endpoint(g_base, trial_hs)).g
             trial_res = ebin_norm(g_base, trial_miss) / norm_g
             if trial_res < (1.0 - 0.25 * lam) * residual:
                 phi, hs, residual = trial_phi, trial_hs, trial_res
@@ -371,7 +361,7 @@ def horizontal_lift(path: MetricPath, tol: float = 1e-6):
             dec = slice_decompose(base, target, tol=tol)
         except NoConvergence as e:
             raise NoConvergence(f"lift failed at step {k + 1}: {e}") from e
-        lifted.append(ebin_exp(base, dec.h, 1.0, tol=min(1e-8, tol)).endpoint)
+        lifted.append(_exp_endpoint(base, dec.h.values))
         gauges.append(compose(gauges[k], dec.phi))
     return MetricPath(path.times, tuple(lifted)), gauges
 
@@ -419,7 +409,7 @@ def lattice_transport(iso: LatticeIsometry, field):
     """Left action of a lattice candidate by exact sample permutation."""
     if isinstance(field, MetricField):
         return MetricField(lattice_transport(iso, field.g))
-    return type(field)(field.spec, _lattice_mover(field.values, iso.flip)(iso.shift))
+    return type(field)(field.spec, np.roll(_flipped(field.values, iso.flip), iso.shift, axis=(-2, -1)))
 
 
 def candidate_family(n: int):
@@ -502,8 +492,8 @@ def _row_defects(g: MetricField, flipped: np.ndarray) -> np.ndarray:
     """
     n = g.spec.n
     row_g = g.as_stack()[:, 0]
-    row_inv = _inv_stack(g)[:, 0]
-    row_weight = g.spec.h ** 2 * _vol_values(g)[0]
+    row_inv = g._inverse[:, 0]
+    row_weight = g.spec.h ** 2 * g._volume[0]
     out = np.empty((n, n))
     for b1 in range(n):
         row = flipped[:, -b1 % n]
@@ -579,18 +569,14 @@ def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6)
             kx, ky = kappa.map_points(n, x, y)
             return max(_torus_gap(qx, kx), _torus_gap(qy, ky))
 
-        # guess: conjugation preserves the flip part and perturbs the shift;
-        # all base candidates are searched only when the guess does not match
-        a = iota.matrix
-        rx = qx - (a[0, 0] * x + a[0, 1] * y)
-        ry = qy - (a[1, 0] * x + a[1, 1] * y)
-        guess = LatticeIsometry(
-            iota.flip,
-            (
-                int(np.round(np.mean((rx + 0.5) % 1.0 - 0.5) * n)) % n,
-                int(np.round(np.mean((ry + 0.5) % 1.0 - 0.5) * n)) % n,
-            ),
-        )
+        # guess: conjugation preserves the flip part and perturbs the shift,
+        # read off as the mean residual against the flip alone.  Each residual
+        # is wrapped about that of cell 0, so a half-torus shift does not
+        # split into +-1/2.  All base candidates are searched only when the
+        # guess does not match.
+        r = np.stack([qx, qy]) - np.stack(LatticeIsometry(iota.flip, (0, 0)).map_points(n, x, y))
+        r = r[:, :1, :1] + (r - r[:, :1, :1] + 0.5) % 1.0 - 0.5
+        guess = LatticeIsometry(iota.flip, tuple(int(b) % n for b in np.round(np.mean(r, axis=(1, 2)) * n)))
         scored = [(deviation(guess), guess)] if guess in base_set else []
         if not scored or scored[0][0] > tol:
             scored += [(deviation(kappa), kappa) for kappa in iso_base]

@@ -1,5 +1,8 @@
 """Tensor calculus: pointwise algebra, Levi-Civita symbols, divergence duality."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from riemgrid.calculus import (
     volume_density,
 )
 from riemgrid.convergence import _manufactured, adjointness_defect, measured_order
+from riemgrid.geodesics import ebin_norm
 from riemgrid.grid import (
     GridSpec,
     MetricField,
@@ -266,3 +270,17 @@ def test_adjointness_sign_convention():
     rhs = -2.0 * integrate(ScalarField(spec, pair.values * volume_density(gamma).values))
     assert lhs == pytest.approx(rhs, abs=1e-12)
     assert abs(lhs) > 1e-3  # the identity is not vacuous for these fields
+
+
+def test_dropped_metric_is_freed_with_its_derived_data():
+    # derived data lives on the metric, so no cache keeps a dropped metric alive
+    spec = GridSpec(16)
+    g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 5, amplitude=0.1))
+    s = random_sym_tensor(spec, 6, amplitude=0.05)
+    ebin_norm(g, s)
+    divergence(g, s)
+    lie_derivative_metric(g, random_vector_field(spec, 7, amplitude=0.05))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from riemgrid.diffeos import pullback, translation
 from riemgrid.errors import NoConvergence, PositivityLoss
 from riemgrid.geodesics import (
+    _exp_endpoint,
     _sym_inner,
     _sym_norm,
     ebin_exp,
@@ -97,6 +98,14 @@ def test_exp_zero_velocity_constant_path():
     assert path.steps == 0
     assert np.array_equal(path.endpoint.as_stack(), GAMMA.as_stack())
     assert path.samples[0].t == 0.0 and path.samples[-1].t == 1.0
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_exp_endpoint_is_the_path_endpoint_bitwise(curved):
+    g = MetricField(GAMMA.g + random_sym_tensor(SPEC, 11, amplitude=0.1)) if curved else GAMMA
+    for s in (random_sym_tensor(SPEC, 12, amplitude=0.2), zero_tensor(SPEC)):
+        end = _exp_endpoint(g, s.values).as_stack()
+        assert end.tobytes() == ebin_exp(g, s, 1.0).endpoint.as_stack().tobytes()
 
 
 def test_exp_starts_at_the_given_data():

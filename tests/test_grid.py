@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from riemgrid.calculus import ChristoffelField, OneFormField
+from riemgrid.calculus import ChristoffelField, OneFormField, metric_inverse, volume_density
 from riemgrid.diffeos import from_displacement
 from riemgrid.grid import (
     GridSpec,
@@ -64,6 +64,23 @@ def test_field_values_are_read_only_copies():
     g = MetricField.from_stack(spec, metric)
     assert np.shares_memory(g.g12.values, g.as_stack())
     assert not g.g12.values.flags.writeable
+
+
+def test_derived_data_is_cached_read_only():
+    n = 8
+    rng = np.random.default_rng(3)
+    g = MetricField.from_stack(
+        GridSpec(n), np.stack([np.full((n, n), 2.0), 0.1 * rng.standard_normal((n, n)), np.full((n, n), 3.0)])
+    )
+    for owner, name in ((g, "_inverse"), (g, "_volume"), (g, "_gradients"), (g.g, "_spline_coef")):
+        cached = getattr(owner, name)
+        assert getattr(owner, name) is cached, name
+        assert not cached.flags.writeable, name
+        with pytest.raises(ValueError):
+            cached[(0,) * cached.ndim] = 1.0
+    # the public fields share the metric's arrays instead of copying them
+    assert metric_inverse(g).as_stack() is g._inverse
+    assert volume_density(g).values is g._volume
 
 
 def test_constant_field_identity():

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from riemgrid import slicing
 from riemgrid.calculus import divergence, lie_derivative_metric, sharp, vector_inner
 from riemgrid.diffeos import flow_exp, pullback, translation
 from riemgrid.errors import NoConvergence, SolverStall
-from riemgrid.geodesics import _sym_norm, ebin_exp, ebin_inner, ebin_norm
+from riemgrid.geodesics import _sym_norm, ebin_exp, ebin_inner, ebin_log, ebin_norm
 from riemgrid.grid import (
     GridSpec,
     MetricField,
     ScalarField,
     SymTensorField,
     _flipped,
-    _lattice_mover,
     constant_field,
     constant_metric,
     identity_metric,
@@ -280,6 +280,23 @@ def test_decompose_h_divergence_bound():
     assert _divergence_defect(GAMMA, dec.h) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", [2, 4, 6])
+def test_decompose_curved_base_recovery_tracks_tol(seed):
+    # every step splits by PCG at the curved base; measured worst h error
+    # 0.91 tol |base| and phi error 0.51 tol over these seeds
+    base = generic_metric(32, 1)
+    norm_base = ebin_norm(base, base.g)
+    split = berger_ebin_project(base, random_sym_tensor(base.spec, seed, amplitude=0.05), tol=1e-4)
+    h0 = split.h * (0.03 * norm_base / ebin_norm(base, split.h))
+    phi0 = flow_exp(random_vector_field(base.spec, seed + 1, amplitude=0.002), 1.0)
+    g = pullback(phi0, ebin_exp(base, h0, 1.0).endpoint)
+    for tol in (1e-6, 1e-8):
+        dec = slice_decompose(base, g, tol=tol)
+        assert dec.residual <= tol
+        assert ebin_norm(base, dec.h - h0) <= 2.0 * tol * norm_base
+        assert np.max(np.abs(dec.phi.u.as_stack() - phi0.u.as_stack())) <= tol
+
+
 # ---------------------------------------------------------------------------
 # horizontal lift
 
@@ -319,6 +336,26 @@ def test_lift_mixed_path_matches_exp_factor():
         assert gap <= 1e-5
         track = ebin_norm(GAMMA, pullback(gauges[k], lifted.points[k]).g - points[k].g) / NORM_GAMMA
         assert track <= 1e-5
+
+
+def test_lift_mixed_path_around_curved_base():
+    base = generic_metric(32, 1)
+    norm_base = ebin_norm(base, base.g)
+    split = berger_ebin_project(base, random_sym_tensor(base.spec, 32, amplitude=0.05, max_mode=2), tol=1e-4)
+    h0 = split.h * (0.02 * norm_base / ebin_norm(base, split.h))
+    x_field = random_vector_field(base.spec, 33, amplitude=0.002, max_mode=2)
+    times = tuple(k / 4 for k in range(5))
+    exp_factor = [ebin_exp(base, t * h0, 1.0).endpoint for t in times]
+    points = tuple(pullback(flow_exp(x_field, t), exp_factor[k]) for k, t in enumerate(times))
+    lifted, gauges = horizontal_lift(MetricPath(times, points), tol=1e-7)
+    # measured: gap 7.0e-7, track 1.4e-6, velocity divergence 5.2e-6 (7.8 on the input path)
+    for k in range(5):
+        assert ebin_norm(base, lifted.points[k].g - exp_factor[k].g) / norm_base <= 1e-5
+        track = ebin_norm(base, pullback(gauges[k], lifted.points[k]).g - points[k].g) / norm_base
+        assert track <= 1e-5
+    for k in range(1, 5):
+        velocity = ebin_log(lifted.points[k - 1], lifted.points[k])
+        assert _divergence_defect(lifted.points[k - 1], velocity) <= 5e-5
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +451,9 @@ def _reference_candidates(g, tols):
     norm_g = ebin_norm(g, g.g)
     found = {tol: [] for tol in tols}
     for flip in ("id", "fx", "fy", "swap"):
-        move = _lattice_mover(gs, flip)
+        flipped = _flipped(gs, flip)
         for shift in np.ndindex(g.spec.n, g.spec.n):
-            defect = _sym_norm(g, move(shift) - gs)
+            defect = _sym_norm(g, np.roll(flipped, shift, axis=(-2, -1)) - gs)
             for tol in tols:
                 if defect <= tol * norm_g:
                     found[tol].append(LatticeIsometry(flip, shift))
@@ -502,11 +539,13 @@ def test_isometry_row_bound_never_drops_a_passing_candidate():
         gs = g.as_stack()
         bound = 1e-8 * ebin_norm(g, g.g)
         for flip in ("id", "fx", "fy", "swap"):
-            move = _lattice_mover(gs, flip)
-            defects = np.array([_sym_norm(g, move(b) - gs) for b in np.ndindex(n, n)]).reshape(n, n)
-            kept = _row_survivors(g, _flipped(gs, flip), defects)
+            flipped = _flipped(gs, flip)
+            defects = np.array(
+                [_sym_norm(g, np.roll(flipped, b, axis=(-2, -1)) - gs) for b in np.ndindex(n, n)]
+            ).reshape(n, n)
+            kept = _row_survivors(g, flipped, defects)
             assert kept.all(), (name, flip, np.argwhere(~kept)[:4])
-            dropped = ~_row_survivors(g, _flipped(gs, flip), bound)
+            dropped = ~_row_survivors(g, flipped, bound)
             assert not np.any(dropped & (defects <= bound)), (name, flip)
 
 
@@ -543,7 +582,7 @@ def test_conjugate_isometries_at_base_point():
         assert (entry.matched.flip, entry.matched.shift) == (entry.candidate.flip, entry.candidate.shift)
 
 
-def test_conjugate_isometries_gauge_moved_flat():
+def test_conjugate_isometries_gauge_moved_flat(monkeypatch):
     # the conjugated maps are compared through interpolated displacements, so
     # the flow content must be well resolved: torus mode 2 at n = 32
     n = 32
@@ -553,12 +592,19 @@ def test_conjugate_isometries_gauge_moved_flat():
     x_field = random_vector_field(spec, 45, amplitude=0.004, max_mode=1, period_cells=n // 2)
     phi0 = flow_exp(x_field, 1.0)
     g = pullback(phi0, gamma)
+    gap = slicing._torus_gap
+    calls = []
+    monkeypatch.setattr(slicing, "_torus_gap", lambda a, b: calls.append(1) or gap(a, b))
     f, report = conjugate_isometries(gamma, g, tol=1e-6)
     found = {(e.candidate.flip, e.candidate.shift) for e in report.entries}
     assert ("id", (n // 2, 0)) in found
     assert ("id", (0, n // 2)) in found
     assert report.inclusion_holds
     assert report.max_deviation <= 1e-6
+    assert all(e.matched == e.candidate for e in report.entries)
+    # each half-torus shift is guessed, not split into +-1/2: every entry
+    # scores its guess alone, two gaps, not the whole base family
+    assert len(calls) == 2 * len(report.entries)
 
 
 def test_conjugate_isometries_generic_slice_point_vacuous():
