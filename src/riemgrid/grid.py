@@ -10,8 +10,10 @@ The spline is the cubic B-spline series whose values at the nodes are the
 samples.  Its coefficients come from one FFT of the whole stack: sampling the
 B-spline at the nodes multiplies by the symbol (4 + 2 cos theta)/6 on each
 axis, so the prefilter divides by it.  They are wrap-padded to rows and columns
--1 ... n+1 and cached on the field.  A point is evaluated from one cell index
-and one set of 4 + 4 cubic weights, shared by every component of the field.
+-2 ... n+1 and cached on the field.  A point is reduced exactly into [0, 1]^2,
+which puts its cell in -1 ... n-1, inside the padding, and is evaluated from
+one cell index and one set of 4 + 4 cubic weights, shared by every component
+of the field.  A non-finite coordinate gives NaN weights, hence NaN values.
 
 A field stores its samples as one read-only float64 array: (n, n) for a
 scalar, (k, n, n) for a field with k components, in the order the component
@@ -108,11 +110,11 @@ class _Field:
 
     @cached_property
     def _spline_coef(self) -> np.ndarray:
-        """Spline coefficients of every component, wrap-padded to rows and columns -1 ... n+1."""
+        """Spline coefficients of every component, wrap-padded to rows and columns -2 ... n+1."""
         n = self.spec.n
         symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
         spectrum = np.fft.rfft2(self.values) / np.outer(symbol, symbol[: n // 2 + 1])
-        wrap = np.arange(-1, n + 2) % n
+        wrap = np.arange(-2, n + 2) % n
         return _read_only(np.fft.irfft2(spectrum, s=(n, n))[..., wrap[:, None], wrap])
 
     def __add__(self, other):
@@ -139,46 +141,47 @@ def _component(index: int) -> cached_property:
     return cached_property(lambda field: ScalarField._wrap(field.spec, field.values[index]))
 
 
-# Points are first reduced mod _WRAP, exactly: only coordinates of magnitude
-# 2**19 and more move.  The cell coordinate x n - 1/2 then cannot overflow,
-# and it is small enough that its floor and its reduction mod n are exact.
-_WRAP = 2.0 ** 20
-
-
-def _bspline_weights(s: np.ndarray) -> np.ndarray:
-    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at offsets s in [0, 1), shape (4,) + s.shape."""
-    q = np.stack([1.0 - s, s])
-    q2 = q * q
-    ends = q2 * q / 6.0
-    mids = (3.0 * q2 * (q - 2.0) + 4.0) / 6.0
-    return np.stack([ends[0], mids[1], mids[0], ends[1]])
-
-
 def interpolate(field: _Field, x, y):
     """Periodic cubic spline of every component of a field at points (x, y).
 
-    Points are reduced mod 1, so negative and large coordinates are fine; a
-    point with a non-finite coordinate gives NaN.  A field with k components
-    gives an array of shape (k,) + x.shape, a scalar field one of x.shape, and
-    a float for scalar x and y.
+    A coordinate u is reduced exactly to u - floor(u) in [0, 1] (1 only where
+    a tiny negative u rounds up), so any finite point is fine, and the cell of
+    u n - 1/2, in -1 ... n-1, indexes the padded coefficients directly.  A
+    non-finite coordinate leaves NaN weights (its cell is read as -1), which
+    make every component NaN there.  A field with k components gives an array
+    of shape (k,) + x.shape, a scalar field one of x.shape, and a float for
+    scalar x and y.
     """
     coef = field._spline_coef
     p = coef.shape[-1]
-    n = p - 3
     x = np.asarray(x, dtype=np.float64)
-    pts = np.stack([x, np.asarray(y, dtype=np.float64)]).reshape(2, -1)
-    finite = np.isfinite(pts).all(axis=0)
-    pts = np.where(finite, pts, 0.0)
-    pts = pts - _WRAP * np.round(pts / _WRAP)
-    t = pts * n - 0.5  # cell coordinates, node j at t = j
-    cell = np.floor(t)
-    w = _bspline_weights(t - cell)
-    # cell mod n; padded row (column) cell + a holds node cell - 1 + a
-    cell = (cell - n * np.floor(cell / n)).astype(np.intp)
-    neighbours = cell[0] * p + cell[1] + (np.arange(4)[:, None, None] * p + np.arange(4)[:, None])
+    s = np.stack([x, np.asarray(y, dtype=np.float64)]).reshape(2, -1)
+    cell = np.floor(s)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        s -= cell
+    s *= field.spec.n
+    s -= 0.5  # cell coordinates, node j at j
+    np.floor(s, out=cell)
+    s -= cell
+    np.fmax(cell, -1.0, out=cell)
+    # padded row (column) cell + 1 + a holds node cell - 1 + a
+    base = (cell[0] * p + cell[1]).astype(np.intp)
+    neighbours = base + (np.arange(1, 5)[:, None, None] * p + np.arange(1, 5)[:, None])
+    w = np.empty((4,) + s.shape)  # cubic B-spline weights of the nodes -1, 0, 1, 2, from s, s^2 and s^3
+    np.multiply(s, s, out=w[2])
+    np.multiply(w[2], s, out=w[3])
+    np.multiply(w[3], 0.5, out=w[1])
+    w[1] -= w[2]
+    w[1] += 2.0 / 3.0  # (4 - 6 s^2 + 3 s^3) / 6
+    w[3] /= 6.0  # s^3 / 6
+    np.subtract(s, w[2], out=w[2])
+    w[2] *= 0.5  # (s - s^2) / 2
+    np.subtract(1.0 / 6.0, w[2], out=w[0])
+    w[0] -= w[3]  # (1 - s)^3 / 6
+    w[2] += 5.0 / 6.0
+    w[2] -= w[1]  # (1 + 3 s + 3 s^2 - 3 s^3) / 6
     samples = coef.reshape(-1, p * p).take(neighbours, axis=1)  # (k, 4, 4, m)
-    out = np.einsum("kabm,am,bm->km", samples, w[:, 0], w[:, 1])
-    out = np.where(finite, out, np.nan).reshape(coef.shape[:-2] + x.shape)
+    out = np.einsum("kabm,am,bm->km", samples, w[:, 0], w[:, 1]).reshape(coef.shape[:-2] + x.shape)
     if out.ndim == 0:
         return float(out)
     return out

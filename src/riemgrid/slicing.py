@@ -17,6 +17,7 @@ permutation.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,6 +66,8 @@ _NEAR_KILLING = 1e-10
 # PCG: iteration cap, and the drop of sqrt(r^T M r) that ends the solve
 _PCG_MAX = 60
 _PCG_RTOL = 1e-13
+# the preconditioner of each live curved base; apply holds no reference to g, so it goes with g
+_PRECONDITIONERS = weakref.WeakKeyDictionary()
 
 
 def _is_constant_metric(g: MetricField) -> bool:
@@ -110,7 +113,6 @@ def _fourier_solver(n: int, g11: float, g12: float, g22: float):
     return solve, float(np.min((0.5 * (a + c) - np.hypot(0.5 * (a - c), b))[det > 0.0]))
 
 
-@lru_cache(maxsize=4)
 def _preconditioner(g: MetricField):
     """Symmetric approximate inverse of K on a curved base, as a closure.
 
@@ -121,6 +123,8 @@ def _preconditioner(g: MetricField):
     gain on smooth modes are dropped.  The checkerboards are in neither
     range, so no iterate carries them.
     """
+    if g in _PRECONDITIONERS:
+        return _PRECONDITIONERS[g]
     n = g.spec.n
     means = [float(np.mean(c)) for c in g.as_stack()]
     solve, sigma_min = _fourier_solver(n, *means)
@@ -137,6 +141,7 @@ def _preconditioner(g: MetricField):
         coef = np.tensordot(coarse, r, axes=3) / gains
         return solve(r / -weight) + np.tensordot(coef, coarse, axes=1)
 
+    _PRECONDITIONERS[g] = apply
     return apply
 
 

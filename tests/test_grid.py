@@ -156,6 +156,30 @@ def test_interpolate_matches_scipy_spline(n):
             assert np.array_equal(sampled, interpolate(ScalarField(spec, component), x, y))
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_interpolate_padding_edges_match_scipy_spline(n):
+    # cells -1 and n - 1 read the outermost padded coefficients: points in the
+    # first and last half cell of each axis, exact edges, and coordinates whose
+    # reduction u - floor(u) is 0 (-0.0), rounds up to 1 (-1e-20) or lies just below 1
+    spec = GridSpec(n)
+    rng = np.random.default_rng(100 + n)
+    half = 0.5 / n
+    edges = np.concatenate([
+        rng.uniform(0.0, half, 6), rng.uniform(1.0 - half, 1.0, 6), rng.uniform(-2.0, 3.0, 6),
+        [0.0, -0.0, -1e-20, 1.0 - 2.0**-53, half, 1.0 - half, np.nextafter(half, 0.0), 1.0, -1.0],
+    ])
+    x, y = (a.ravel() for a in np.meshgrid(edges, edges, indexing="ij"))
+    coords = np.stack([x * n - 0.5, y * n - 0.5])
+    for field_type in (ScalarField, VectorField, SymTensorField):
+        k = field_type._k
+        values = rng.standard_normal((k, n, n) if k else (n, n))
+        got = interpolate(field_type(spec, values), x, y).reshape(-1, x.size)
+        for component, sampled in zip(values.reshape(-1, n, n), got):
+            coef = ndimage.spline_filter(component, order=3, mode="grid-wrap")
+            want = ndimage.map_coordinates(coef, coords, order=3, mode="grid-wrap", prefilter=False)
+            assert np.max(np.abs(sampled - want)) <= 1e-14 * np.max(np.abs(values))
+
+
 def test_interpolate_non_finite_points_give_nan():
     spec = GridSpec(16)
     rng = np.random.default_rng(4)

@@ -1,5 +1,8 @@
 """Splitting, slice decomposition, path lifting, and the isometry probes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,24 @@ def test_project_curved_tolerance_is_relative_to_scale():
             berger_ebin_project(g, s * scale, tol=1e-4)
     # an s with no divergence at all still splits
     assert not np.any(berger_ebin_project(g, zero_tensor(spec), tol=1e-4).h.as_stack())
+
+
+def test_preconditioner_is_built_once_per_base():
+    spec = GridSpec(16)
+    g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
+    assert slicing._preconditioner(g) is slicing._preconditioner(g)
+
+
+def test_dropped_base_is_freed_with_its_preconditioner():
+    # the split's solver cache holds a curved base weakly, so the base and its
+    # cached inverse, volume and gradients go when the caller drops it
+    spec = GridSpec(16)
+    g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
+    assert berger_ebin_project(g, random_sym_tensor(spec, 1001, amplitude=0.05), tol=1e-2).method == "pcg"
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def generic_metric(n, seed, **kwargs):
