@@ -46,9 +46,15 @@ def ebin_inner(g: MetricField, s: SymTensorField, t: SymTensorField) -> float:
 
 
 def _sym_inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> float:
-    """ebin_inner on (3, n, n) stacks."""
-    vals = _trace_pairing_values(g._inverse, a, b) * g._volume
-    return float(g.spec.h ** 2 * np.sum(vals))
+    """ebin_inner on (3, n, n) stacks.
+
+    The cell terms are summed in sorted order, so the sum does not depend on
+    where each cell sits: a lattice translation, which moves the terms to other
+    cells, leaves it bitwise unchanged.
+    """
+    vals = (_trace_pairing_values(g._inverse, a, b) * g._volume).ravel()
+    vals.sort()
+    return float(g.spec.h ** 2 * vals.sum())
 
 
 def _sym_norm(g: MetricField, a: np.ndarray) -> float:

@@ -8,7 +8,11 @@ reproduced from its index alone, in any language.
 Random fields are band-limited: real Fourier modes with wavenumbers
 0 <= p <= max_mode, |q| <= max_mode (skipping the constant), with cosine and
 sine coefficients drawn uniformly from [-1, 1] and the result rescaled to a
-requested max-abs amplitude.
+requested max-abs amplitude, which the largest |sample| equals exactly.  The
+modes are summed separably: 1-D cos/sin tables on the cell centres of each
+axis, O(M n) trigonometric evaluations for M = max_mode, are combined by the
+addition theorems in O(M n^2) multiply-adds; no trigonometric function is
+evaluated on the full n x n grid.
 """
 
 from __future__ import annotations
@@ -78,22 +82,34 @@ def band_limited_scalar(
 def _band_limited(
     spec: GridSpec, stream: DrawStream, max_mode: int, amplitude: float, period_cells: int | None = None
 ) -> np.ndarray:
-    """The samples of band_limited_scalar."""
+    """The samples of band_limited_scalar, by separable synthesis.
+
+    With a_pq, b_pq in the arrays A, B (row p, column q + max_mode) and the
+    1-D tables cx, sx = cos, sin(2 pi p x_i) and cy, sy = cos, sin(2 pi q y_j),
+    the addition theorems give
+    f = sum_p cx_p (x) (A_p cy + B_p sy) + sx_p (x) (B_p cy - A_p sy).
+    Both contractions, over q and then over p, are einsum, which calls no
+    BLAS, so the samples do not depend on the BLAS thread count.
+    """
     n = spec.n
     block = n if period_cells is None else period_cells
     if n % block != 0:
         raise ValueError("period_cells must divide the resolution")
-    c = (np.arange(block) + 0.5) / block
-    x, y = np.meshgrid(c, c, indexing="ij")
-    f = np.zeros((block, block))
+    a = np.zeros((max_mode + 1, 2 * max_mode + 1))
+    b = np.zeros_like(a)
     for p, q in _mode_list(max_mode):
-        a = stream.next_symmetric()
-        b = stream.next_symmetric()
-        phase = 2.0 * np.pi * (p * x + q * y)
-        f += a * np.cos(phase) + b * np.sin(phase)
+        a[p, q + max_mode] = stream.next_symmetric()
+        b[p, q + max_mode] = stream.next_symmetric()
+    c = (np.arange(block) + 0.5) / block
+    px = 2.0 * np.pi * np.outer(np.arange(max_mode + 1), c)
+    qy = 2.0 * np.pi * np.outer(np.arange(-max_mode, max_mode + 1), c)
+    cx, sx, cy, sy = np.cos(px), np.sin(px), np.cos(qy), np.sin(qy)
+    even = np.einsum("pq,qj->pj", a, cy) + np.einsum("pq,qj->pj", b, sy)
+    odd = np.einsum("pq,qj->pj", b, cy) - np.einsum("pq,qj->pj", a, sy)
+    f = np.einsum("pi,pj->ij", cx, even) + np.einsum("pi,pj->ij", sx, odd)
     scale = np.max(np.abs(f))
     if scale > 0.0:
-        f *= amplitude / scale
+        f = amplitude * (f / scale)  # the extreme sample divides to exactly +-1
     if block != n:
         f = np.tile(f, (n // block, n // block))
     return f
@@ -148,4 +164,4 @@ def divergence_free_tensor(
     s = np.stack([dd[1, 1], -dd[1, 0], dd[0, 0]])
     const = np.array([stream.next_symmetric() for _ in range(3)])
     s = s / max(np.max(np.abs(s)), 1e-300) + const[:, None, None]
-    return SymTensorField(spec, s * (amplitude / np.max(np.abs(s))))
+    return SymTensorField(spec, amplitude * (s / np.max(np.abs(s))))

@@ -131,18 +131,24 @@ def _preconditioner(g: MetricField):
     weight = 2.0 * math.sqrt(means[0] * means[2] - means[1] * means[1])  # K = -2 vol div L there
     units = np.zeros((2, 2, n, n))
     units[0, 0] = units[1, 1] = 1.0 / n  # unit-norm translations
-    e = np.array([[np.vdot(zi, _split_operator(g, zj)) for zj in units] for zi in units])
+    e = np.array([[_dot(zi, _split_operator(g, zj)) for zj in units] for zi in units])
     gains, vecs = np.linalg.eigh(e)
     keep = gains > _NEAR_KILLING * weight * sigma_min
-    coarse = np.tensordot(vecs[:, keep].T, units, axes=1)
+    coarse = np.einsum("jk,j...->k...", vecs[:, keep], units)
     gains = gains[keep]
 
     def apply(r: np.ndarray) -> np.ndarray:
-        coef = np.tensordot(coarse, r, axes=3) / gains
-        return solve(r / -weight) + np.tensordot(coef, coarse, axes=1)
+        coef = np.einsum("kaij,aij->k", coarse, r) / gains
+        return solve(r / -weight) + np.einsum("k,k...->...", coef, coarse)
 
     _PRECONDITIONERS[g] = apply
     return apply
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over two (2, n, n) stacks by einsum, which calls no BLAS: the
+    order of the sum, and so the split, does not depend on the thread count."""
+    return float(np.einsum("aij,aij->", a, b))
 
 
 def _pcg(apply_k, apply_m, c: np.ndarray) -> tuple:
@@ -156,16 +162,16 @@ def _pcg(apply_k, apply_m, c: np.ndarray) -> tuple:
     r = c
     z = apply_m(r)
     p = z
-    rz = float(np.vdot(r, z))
+    rz = _dot(r, z)
     stop = _PCG_RTOL * _PCG_RTOL * rz
     k = 0
     while k < _PCG_MAX and rz > stop:
         q = apply_k(p)
-        alpha = rz / float(np.vdot(p, q))
+        alpha = rz / _dot(p, q)
         x = x + alpha * p
         r = r - alpha * q
         z = apply_m(r)
-        rz, rz_old = float(np.vdot(r, z)), rz
+        rz, rz_old = _dot(r, z), rz
         p = z + (rz / rz_old) * p
         k += 1
     return x, k

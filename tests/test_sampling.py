@@ -1,11 +1,13 @@
 """Counter-based generator and seeded band-limited fields."""
 
 import numpy as np
+import pytest
 
 from riemgrid.calculus import divergence
 from riemgrid.grid import GridSpec, identity_metric
 from riemgrid.sampling import (
     DrawStream,
+    _mode_list,
     band_limited_scalar,
     divergence_free_tensor,
     random_sym_tensor,
@@ -45,6 +47,46 @@ def test_band_limited_amplitude_and_tiling():
     assert np.array_equal(g.values[:16, :16], g.values[16:, :16])
 
 
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("amplitude", [0.25, 0.05, 0.1, 0.002, 1.0])
+def test_band_limited_max_is_the_amplitude_exactly(n, amplitude):
+    # f * (amplitude / scale) missed by one ulp on 14% of these draws, some above
+    for seed in range(200):
+        f = band_limited_scalar(GridSpec(n), DrawStream(seed), amplitude=amplitude)
+        assert np.max(np.abs(f.values)) == amplitude, seed
+
+
+def _per_mode_sum(spec, stream, max_mode, amplitude, period_cells=None):
+    """Reference synthesis: one full-grid cos and sin per mode."""
+    n = spec.n
+    block = n if period_cells is None else period_cells
+    c = (np.arange(block) + 0.5) / block
+    x, y = np.meshgrid(c, c, indexing="ij")
+    f = np.zeros((block, block))
+    for p, q in _mode_list(max_mode):
+        a = stream.next_symmetric()
+        b = stream.next_symmetric()
+        phase = 2.0 * np.pi * (p * x + q * y)
+        f += a * np.cos(phase) + b * np.sin(phase)
+    f = amplitude * (f / np.max(np.abs(f)))
+    return np.tile(f, (n // block, n // block))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("max_mode", [1, 2, 3, 4])
+def test_separable_synthesis_matches_the_per_mode_sum(n, max_mode):
+    spec = GridSpec(n)
+    for seed, amplitude, period_cells in ((1, 1.0, None), (2, 0.05, None), (3, 0.3, n // 2), (4, 0.1, 8)):
+        stream, ref_stream = DrawStream(seed), DrawStream(seed)
+        f = band_limited_scalar(spec, stream, max_mode, amplitude, period_cells).values
+        ref = _per_mode_sum(spec, ref_stream, max_mode, amplitude, period_cells)
+        assert stream.counter == ref_stream.counter
+        assert np.max(np.abs(f - ref)) <= 1e-14 * amplitude
+        if period_cells is not None:
+            reps = n // period_cells
+            assert np.array_equal(f, np.tile(f[:period_cells, :period_cells], (reps, reps)))
+
+
 def test_vector_field_zero_mean():
     v = random_vector_field(GridSpec(16), 7, amplitude=0.1)
     assert abs(np.mean(v.v1.values)) <= 1e-15
@@ -59,4 +101,4 @@ def test_divergence_free_construction():
         w = divergence(gamma, h)
         assert np.max(np.abs(w.w1.values)) <= 1e-12
         assert np.max(np.abs(w.w2.values)) <= 1e-12
-        assert np.max(np.abs(h.as_stack())) <= 0.05 * (1 + 1e-12)
+        assert np.max(np.abs(h.as_stack())) == 0.05

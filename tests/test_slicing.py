@@ -1,7 +1,11 @@
 """Splitting, slice decomposition, path lifting, and the isometry probes."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,39 @@ def test_project_near_killing_bases_split_without_stall():
         split = berger_ebin_project(MetricField(identity_metric(spec).g + p * 1e-9), s, tol=1e-4)
         assert split.orthogonality_defect <= 1e-13
         assert np.max(np.abs(split.x.as_stack())) <= 0.25
+
+
+_THREADED_SPLIT = """
+import sys
+import numpy as np
+from riemgrid.grid import GridSpec, MetricField, identity_metric
+from riemgrid.sampling import random_sym_tensor
+from riemgrid.slicing import berger_ebin_project
+spec = GridSpec(128)
+g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
+split = berger_ebin_project(g, random_sym_tensor(spec, 2), tol=1e-6)
+np.save(sys.argv[1], np.concatenate([split.x.values, split.h.values]))
+"""
+
+
+def test_curved_split_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # every reduction of the PCG split is an einsum, which calls no BLAS; a BLAS
+    # dot product sums in an order set by the thread count, and the split moved
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out[threads] = tmp_path / f"split{threads}.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADED_SPLIT, str(out[threads])],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert np.array_equal(np.load(out["1"]), np.load(out["2"]))
 
 
 # ---------------------------------------------------------------------------
