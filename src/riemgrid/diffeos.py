@@ -19,6 +19,11 @@ the displacement error behaves like C s (L/N)^4, so N = ceil(L (C s / eps)^(1/4)
 steps meet the absolute target eps = 1e-12.  C = 0.04 is twice the largest
 constant measured against 1024-step references (0.020, over random fields with
 max_mode 1-4 and two shears at n = 16, 32, 64).
+
+A flow keeps one spline sampler for all its stages and steps, and a Newton
+solve one for all its iterates: each point's 4 x 4 coefficient neighbourhood is
+gathered once and re-gathered only when the point changes cell, so the results
+are bitwise those of a fresh interpolate per call.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _Sampler,
     interpolate,
     stencil_gradient,
 )
@@ -98,9 +104,10 @@ def _build(spec: GridSpec, us: np.ndarray, start: np.ndarray | None = None) -> D
 
     x, y = spec.cell_centers()
     vs = -us if start is None else start
+    sample = _Sampler(u)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_INVERSE_MAX_ITER):
-            r = interpolate(u, x + vs[0], y + vs[1]) + vs
+            r = sample(x + vs[0], y + vs[1]) + vs
             residual = float(np.max(np.abs(r)))
             if residual <= _INVERSE_TOL:
                 return DiffeoGrid(spec, u, VectorField(spec, vs), residual)
@@ -177,9 +184,10 @@ def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> Diff
     x, y = spec.cell_centers()
     p = np.stack([x, y])
     dt = t / n_steps
+    sample = _Sampler(x_field)  # one for every stage of every step
 
     def vel(q: np.ndarray) -> np.ndarray:
-        return interpolate(x_field, q[0], q[1])
+        return sample(q[0], q[1])
 
     for _ in range(n_steps):
         k1 = vel(p)

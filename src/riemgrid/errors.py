@@ -26,7 +26,11 @@ class JacobianSignFlip(RiemgridError):
 
 
 class StepFailure(RiemgridError):
-    """Flow integration produced non-finite positions."""
+    """A flow or map left the displacement representation.
+
+    Raised when t max|X| exceeds the flow bound 1/4, and when flow positions
+    or displacement samples are non-finite.
+    """
 
 
 class RadiusTooLarge(RiemgridError):

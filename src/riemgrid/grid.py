@@ -14,6 +14,11 @@ axis, so the prefilter divides by it.  They are wrap-padded to rows and columns
 which puts its cell in -1 ... n-1, inside the padding, and is evaluated from
 one cell index and one set of 4 + 4 cubic weights, shared by every component
 of the field.  A non-finite coordinate gives NaN weights, hence NaN values.
+Evaluation is three steps: locate (cell index and weights), gather (the 4 x 4
+coefficients around each cell) and contract.  A private sampler keeps one
+field's gathered neighbourhoods between calls and re-gathers only the points
+that changed cell, so a flow or a Newton solve, whose points move a little per
+call, reads each neighbourhood about once; interpolate is a fresh sampler.
 
 A field stores its samples as one read-only float64 array: (n, n) for a
 scalar, (k, n, n) for a field with k components, in the order the component
@@ -22,7 +27,7 @@ once, at construction, so field values are immutable and shared freely;
 as_stack() returns it and each named component is a cached ScalarField view
 of one slice.  The stencils act on whole stacks: x and y are the last two
 array axes, so one call differentiates every component of a field.  Every
-operation here is a pure function.
+public operation here is a pure function.
 
 Derived data (a field's spline coefficients; a metric's inverse, volume
 density and gradients) is a cached_property of the object it derives from:
@@ -141,32 +146,24 @@ def _component(index: int) -> cached_property:
     return cached_property(lambda field: ScalarField._wrap(field.spec, field.values[index]))
 
 
-def interpolate(field: _Field, x, y):
-    """Periodic cubic spline of every component of a field at points (x, y).
+def _locate(n: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat padded cell index (m,) and cubic weights (4, 2, m) of the m points (x, y).
 
     A coordinate u is reduced exactly to u - floor(u) in [0, 1] (1 only where
-    a tiny negative u rounds up), so any finite point is fine, and the cell of
-    u n - 1/2, in -1 ... n-1, indexes the padded coefficients directly.  A
-    non-finite coordinate leaves NaN weights (its cell is read as -1), which
-    make every component NaN there.  A field with k components gives an array
-    of shape (k,) + x.shape, a scalar field one of x.shape, and a float for
-    scalar x and y.
+    a tiny negative u rounds up), so the cell of u n - 1/2, in -1 ... n-1,
+    indexes the n + 4 padded rows and columns directly.  A non-finite
+    coordinate leaves NaN weights and reads its cell as -1.
     """
-    coef = field._spline_coef
-    p = coef.shape[-1]
-    x = np.asarray(x, dtype=np.float64)
-    s = np.stack([x, np.asarray(y, dtype=np.float64)]).reshape(2, -1)
+    s = np.stack([x, y]).reshape(2, -1)
     cell = np.floor(s)
     with np.errstate(invalid="ignore"):  # inf - inf
         s -= cell
-    s *= field.spec.n
+    s *= n
     s -= 0.5  # cell coordinates, node j at j
     np.floor(s, out=cell)
     s -= cell
     np.fmax(cell, -1.0, out=cell)
-    # padded row (column) cell + 1 + a holds node cell - 1 + a
-    base = (cell[0] * p + cell[1]).astype(np.intp)
-    neighbours = base + (np.arange(1, 5)[:, None, None] * p + np.arange(1, 5)[:, None])
+    base = (cell[0] * (n + 4) + cell[1]).astype(np.intp)
     w = np.empty((4,) + s.shape)  # cubic B-spline weights of the nodes -1, 0, 1, 2, from s, s^2 and s^3
     np.multiply(s, s, out=w[2])
     np.multiply(w[2], s, out=w[3])
@@ -180,8 +177,54 @@ def interpolate(field: _Field, x, y):
     w[0] -= w[3]  # (1 - s)^3 / 6
     w[2] += 5.0 / 6.0
     w[2] -= w[1]  # (1 + 3 s + 3 s^2 - 3 s^3) / 6
-    samples = coef.reshape(-1, p * p).take(neighbours, axis=1)  # (k, 4, 4, m)
-    out = np.einsum("kabm,am,bm->km", samples, w[:, 0], w[:, 1]).reshape(coef.shape[:-2] + x.shape)
+    return base, w
+
+
+def _gather(table: np.ndarray, p: int, base: np.ndarray) -> np.ndarray:
+    """The 4 x 4 coefficients around each cell of base, shape (k, 4, 4, m), from a (k, p * p) table."""
+    # padded row (column) cell + 1 + a holds node cell - 1 + a
+    return table.take(base + (np.arange(1, 5)[:, None, None] * p + np.arange(1, 5)[:, None]), axis=1)
+
+
+class _Sampler:
+    """The spline of one field, sampled at point sets that move a little between calls.
+
+    It keeps the gathered 4 x 4 neighbourhoods of the last call with their
+    cells, and re-gathers only the points whose cell changed.  A gathered
+    neighbourhood depends on its cell alone, so every call returns the bits
+    that a full gather would give.
+    """
+
+    def __init__(self, field: _Field):
+        coef = field._spline_coef
+        self._n, self._p = field.spec.n, coef.shape[-1]
+        self._lead = coef.shape[:-2]
+        self._table = coef.reshape(-1, self._p * self._p)
+        self._base = None
+        self._samples = None
+
+    def __call__(self, x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        base, w = _locate(self._n, x, np.asarray(y, dtype=np.float64))
+        if self._base is None or self._base.shape != base.shape:
+            self._samples = _gather(self._table, self._p, base)
+        else:
+            moved = np.flatnonzero(base != self._base)
+            if moved.size:
+                self._samples[..., moved] = _gather(self._table, self._p, base[moved])
+        self._base = base
+        return np.einsum("kabm,am,bm->km", self._samples, w[:, 0], w[:, 1]).reshape(self._lead + x.shape)
+
+
+def interpolate(field: _Field, x, y):
+    """Periodic cubic spline of every component of a field at points (x, y).
+
+    Any finite point is fine: its coordinates are reduced exactly into
+    [0, 1].  A non-finite coordinate makes every component NaN there.  A
+    field with k components gives an array of shape (k,) + x.shape, a scalar
+    field one of x.shape, and a float for scalar x and y.
+    """
+    out = _Sampler(field)(x, y)
     if out.ndim == 0:
         return float(out)
     return out
@@ -220,8 +263,12 @@ def stencil_gradient(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate(f: ScalarField) -> float:
-    """Midpoint-rule integral h^2 * sum(values) over the torus."""
-    return float(f.spec.h ** 2 * np.sum(f.values))
+    """Midpoint-rule integral h^2 * sum(values) over the torus.
+
+    The samples are summed in sorted order, so the sum does not depend on
+    where each one sits: a lattice translation leaves it bitwise unchanged.
+    """
+    return float(f.spec.h ** 2 * np.sort(f.values, axis=None).sum())
 
 
 class VectorField(_Field):

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _trace_pairing_values, _vector_inner_stack
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
-from .errors import NoConvergence, SolverStall
+from .errors import JacobianSignFlip, NoConvergence, SolverStall, StepFailure
 from .geodesics import _exp_endpoint, _sym_inner, _sym_norm, ebin_log, ebin_norm, relative_distance
 from .grid import MetricField, SymTensorField, VectorField, _flipped, interpolate
 
@@ -293,13 +293,14 @@ def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> S
     divergence-free part and phi flows along its gauge generator.  A step of
     length lambda = 1, 1/2, ..., 1/128 is accepted only on sufficient
     decrease, |miss| < (1 - lambda/4) times the last; a step that gains less
-    is halved.  A full step can overshoot to a mirror-image miss of about the
-    same size (the generator acts on exp_base(h), which varies more than the
-    base), and a rule that accepted any decrease would then stall.  Returns
-    when the miss and the pending gauge correction |L_X g| / |g| are both
-    within tol.  Raises NoConvergence for a target farther than _RADIUS from
-    the base, or when the miss is above tol after _MAX_ITER iterations or
-    once no step decreases it enough.
+    is halved, and so is one whose gauge flow or map inverse fails
+    (StepFailure, JacobianSignFlip).  A full step can overshoot to a
+    mirror-image miss of about the same size (the generator acts on
+    exp_base(h), which varies more than the base), and a rule that accepted
+    any decrease would then stall.  Returns when the miss and the pending
+    gauge correction |L_X g| / |g| are both within tol.  Raises NoConvergence
+    for a target farther than _RADIUS from the base, or when the miss is above
+    tol after _MAX_ITER iterations or once no step decreases it enough.
     """
     spec = g_base.spec
     if relative_distance(g_base, g) > _RADIUS:
@@ -323,13 +324,16 @@ def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> S
         lam = 1.0
         for _ in range(8):
             trial_hs = hs + lam * (new_hs - hs)
-            trial_phi = compose(phi, flow_exp(split.x, -lam))
-            trial_miss = g.g - pullback(trial_phi, _exp_endpoint(g_base, trial_hs)).g
-            trial_res = ebin_norm(g_base, trial_miss) / norm_g
-            if trial_res < (1.0 - 0.25 * lam) * residual:
-                phi, hs, residual = trial_phi, trial_hs, trial_res
-                pending = pullback(invert(phi), trial_miss)
-                break
+            try:
+                trial_phi = compose(phi, flow_exp(split.x, -lam))
+                trial_miss = g.g - pullback(trial_phi, _exp_endpoint(g_base, trial_hs)).g
+                trial_res = ebin_norm(g_base, trial_miss) / norm_g
+                if trial_res < (1.0 - 0.25 * lam) * residual:
+                    pending = pullback(invert(trial_phi), trial_miss)
+                    phi, hs, residual = trial_phi, trial_hs, trial_res
+                    break
+            except (StepFailure, JacobianSignFlip):
+                pass  # a gauge step the maps cannot represent is rejected, as a weak one is
             lam *= 0.5
         else:
             break  # no damped step decreases enough: stalled at the attainable floor

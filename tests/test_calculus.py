@@ -15,9 +15,11 @@ from riemgrid.calculus import (
     metric_inverse,
     sharp,
     trace_pairing,
+    vector_inner,
     volume_density,
 )
 from riemgrid.convergence import _manufactured, adjointness_defect, measured_order
+from riemgrid.diffeos import pullback, translation
 from riemgrid.geodesics import ebin_norm
 from riemgrid.grid import (
     GridSpec,
@@ -284,3 +286,17 @@ def test_dropped_metric_is_freed_with_its_derived_data():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_vector_inner_invariant_under_lattice_translation():
+    # a translation moves the cell terms to other cells; summed in grid order,
+    # 13 of these 20 triples changed in the last bit
+    spec = GridSpec(32)
+    tau = translation(spec, (5 * spec.h, 11 * spec.h))
+    for seed in range(40, 100, 3):
+        g = MetricField(constant_field(spec, np.eye(2)) + random_sym_tensor(spec, seed, amplitude=0.2))
+        x = random_vector_field(spec, seed + 1, amplitude=0.4)
+        y = random_vector_field(spec, seed + 2, amplitude=0.4)
+        before = vector_inner(g, x, y)
+        after = vector_inner(pullback(tau, g), pullback(tau, x), pullback(tau, y))
+        assert after == before, seed

@@ -23,6 +23,7 @@ from riemgrid.grid import (
     VectorField,
     constant_vector,
     identity_metric,
+    interpolate,
     stencil_gradient,
     zero_vector,
 )
@@ -178,6 +179,77 @@ def test_flow_whose_inverse_diverges_raises():
 def test_flow_displacement_bound():
     with pytest.raises(StepFailure):
         flow_exp(constant_vector(SPEC, (1.0, 0.0)), 1.0)
+
+
+def test_flow_with_non_finite_positions_raises():
+    # a checkerboard at 1e308 overflows the spline prefilter, and t keeps
+    # t max|X| inside the displacement bound
+    spec = GridSpec(16)
+    sign = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2 == 0, 1.0, -1.0)
+    x_field = VectorField.from_arrays(spec, 1e308 * sign, 1e308 * sign)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepFailure, match="non-finite positions"):
+        flow_exp(x_field, 1e-309, n_steps=1)
+
+
+# ---------------------------------------------------------------------------
+# the cached spline gather: flows and Newton solves equal fresh interpolation
+
+
+def drifting_field(n, seed):
+    """A mean drift of (0.2, -0.15) plus a max_mode 2 perturbation: its flow crosses cells and the torus edge."""
+    spec = GridSpec(n)
+    return constant_vector(spec, (0.2, -0.15)) + random_vector_field(spec, seed, amplitude=0.03, max_mode=2)
+
+
+def fresh_rk4(x_field, t):
+    """flow_exp's displacement, with a fresh interpolate call at every RK4 stage."""
+    x, y = x_field.spec.cell_centers()
+    p = np.stack([x, y])
+    n_steps = _rk4_steps(x_field, t)
+    dt = t / n_steps
+    for _ in range(n_steps):
+        k1 = interpolate(x_field, p[0], p[1])
+        q = p + 0.5 * dt * k1
+        k2 = interpolate(x_field, q[0], q[1])
+        q = p + 0.5 * dt * k2
+        k3 = interpolate(x_field, q[0], q[1])
+        q = p + dt * k3
+        k4 = interpolate(x_field, q[0], q[1])
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p - np.stack([x, y])
+
+
+def fresh_newton(u, start):
+    """The inverse displacement of u by _build's Newton loop, with a fresh interpolate call per iterate."""
+    x, y = u.spec.cell_centers()
+    vs = start
+    for _ in range(30):
+        r = interpolate(u, x + vs[0], y + vs[1]) + vs
+        if np.max(np.abs(r)) <= 1e-12:
+            return vs
+        dv = stencil_gradient(vs, u.spec.h)
+        vs = vs - (r + dv[0] * r[0] + dv[1] * r[1])
+    raise AssertionError("reference Newton loop did not converge")
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_flow_equals_rk4_with_fresh_interpolation(n, t):
+    x_field = drifting_field(n, 31)
+    phi = flow_exp(x_field, t)
+    points = phi.points()
+    assert np.min(np.abs(phi.u.values[0])) * n > 2.0  # every point crosses at least two cells
+    assert np.any(points < 0.0) and np.any(points >= 1.0)  # and some wrap the torus edge
+    assert np.array_equal(phi.u.values, fresh_rk4(x_field, t))
+    assert np.array_equal(phi.v.values, fresh_newton(phi.u, -phi.u.values))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_invert_equals_newton_with_fresh_interpolation(n):
+    phi = flow_exp(drifting_field(n, 33), 1.0)
+    inv = invert(phi)
+    assert np.array_equal(inv.u.values, phi.v.values)
+    assert np.array_equal(inv.v.values, fresh_newton(phi.v, phi.u.values))
 
 
 def test_pullback_lattice_translation_permutes_samples():

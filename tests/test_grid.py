@@ -12,6 +12,7 @@ from riemgrid.grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _Sampler,
     constant_field,
     constant_metric,
     identity_metric,
@@ -203,6 +204,22 @@ def test_interpolate_non_finite_points_give_nan():
     assert np.all(np.isnan(vals[:, :5])) and np.all(np.isfinite(vals[:, 5]))
 
 
+def test_sampler_matches_fresh_interpolation_across_calls():
+    # the sampler re-gathers only points whose cell changed, including cells
+    # read for NaN coordinates; every call must equal a fresh interpolate
+    spec = GridSpec(16)
+    rng = np.random.default_rng(5)
+    for field in (ScalarField(spec, rng.standard_normal((16, 16))), VectorField(spec, rng.standard_normal((2, 16, 16)))):
+        x, y = rng.uniform(-1.0, 2.0, (2, 8, 9))
+        xn, yn = x.copy(), y.copy()
+        xn[::3] = np.nan
+        yn[:, 1::4] = np.inf
+        calls = [(xn, yn), (x, y), (x + 1e-4, y - 1e-4), (x + 0.3, y - 0.2), (xn, y), (x, yn), (x, y), (x[0], y[0])]
+        sample = _Sampler(field)
+        for cx, cy in calls:
+            assert np.array_equal(sample(cx, cy), interpolate(field, cx, cy), equal_nan=True)
+
+
 def test_derivative_of_constant_is_zero():
     f = ScalarField(GridSpec(16), np.full((16, 16), 5.5))
     assert not np.any(partial_derivative(f, 1).values)
@@ -252,6 +269,15 @@ def test_integrate_sine_vanishes():
     spec = GridSpec(32)
     f = field_from(spec, lambda x, y: np.sin(2 * np.pi * x))
     assert abs(integrate(f)) <= 1e-12
+
+
+def test_integrate_invariant_under_lattice_roll():
+    # summed in sorted order, the samples give the same bits wherever they sit
+    spec = GridSpec(32)
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        values = rng.standard_normal((32, 32))
+        assert integrate(ScalarField(spec, np.roll(values, (5, 11), axis=(0, 1)))) == integrate(ScalarField(spec, values))
 
 
 def test_integrate_sine_squared():

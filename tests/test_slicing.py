@@ -355,6 +355,22 @@ def test_decompose_curved_base_recovery_tracks_tol(seed):
         assert np.max(np.abs(dec.phi.u.as_stack() - phi0.u.as_stack())) <= tol
 
 
+def test_decompose_around_a_moved_flat_base_keeps_its_error_contract():
+    # a flat metric moved by a small gauge: the split's generator is large
+    # there, and the full trial step flows beyond the 0.25 displacement bound
+    # (StepFailure); such a trial is halved like a weak one, so the chart
+    # either converges or raises NoConvergence
+    base = pullback(flow_exp(random_vector_field(SPEC, 5, amplitude=0.003, max_mode=2), 1.0), GAMMA)
+    split, _ = slicing._split(base, random_sym_tensor(SPEC, 11, amplitude=0.05).values)
+    h = split.h * (0.03 * ebin_norm(base, base.g) / ebin_norm(base, split.h))
+    target = pullback(flow_exp(random_vector_field(SPEC, 7, amplitude=0.002), 1.0), ebin_exp(base, h, 1.0).endpoint)
+    try:
+        dec = slice_decompose(base, target, tol=1e-6)
+    except NoConvergence:
+        return
+    assert dec.residual <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # horizontal lift
 
