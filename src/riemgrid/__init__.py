@@ -66,7 +66,6 @@ from .grid import (
     VectorField,
     constant_field,
     constant_metric,
-    constant_scalar,
     constant_vector,
     identity_metric,
     integrate,

@@ -30,6 +30,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _cell_sum,
     _component,
     _Field,
     stencil_derivative,
@@ -174,9 +175,7 @@ def vector_inner(g: MetricField, x: VectorField, y: VectorField) -> float:
 
 
 def _vector_inner_stack(g: MetricField, xs: np.ndarray, ys: np.ndarray) -> float:
-    """vector_inner on (2, n, n) stacks, its cell terms summed in sorted order (see integrate)."""
+    """vector_inner on (2, n, n) stacks."""
     gs = g.as_stack()
     dens = gs[0] * xs[0] * ys[0] + gs[1] * (xs[0] * ys[1] + xs[1] * ys[0]) + gs[2] * xs[1] * ys[1]
-    vals = (dens * g._volume).ravel()
-    vals.sort()
-    return float(g.spec.h ** 2 * vals.sum())
+    return _cell_sum(g.spec, dens * g._volume)

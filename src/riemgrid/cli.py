@@ -19,7 +19,7 @@ import numpy as np
 
 from . import convergence as conv
 from . import spd_action as spd
-from .calculus import divergence, lie_derivative_metric
+from .calculus import lie_derivative_metric
 from .diffeos import flow_exp, pullback
 from .errors import FormatError, RiemgridError, ValidationError
 from .fileio import Report, read_field, read_field_meta, write_field, write_report
@@ -257,16 +257,6 @@ def cmd_isometries(cfg: RunConfig):
     return 0, report
 
 
-def _slice_distance(sl, q) -> float:
-    """Distance from a point to the slice disk, in chart coordinates."""
-    s1, s2 = sl.coords_of(q)
-    p = q.chart - sl.base.chart
-    out = p - s1 * np.asarray(sl.n1) - s2 * np.asarray(sl.n2)
-    radial = math.hypot(s1, s2)
-    excess = max(0.0, radial - sl.radius)
-    return math.hypot(float(np.linalg.norm(out)), excess)
-
-
 def cmd_finite_demo(cfg: RunConfig):
     base = spd.SpdPoint(2.0, 0.0, 1.0)
     sl = spd.slice_at(base, 0.1)
@@ -296,7 +286,7 @@ def cmd_finite_demo(cfg: RunConfig):
         if min(abs(theta), abs(theta - math.pi), abs(theta - 2 * math.pi)) < 1e-9:
             continue
         moved = spd.act(spd.Rot(theta), pt)
-        min_escape = min(min_escape, _slice_distance(sl, moved))
+        min_escape = min(min_escape, sl.distance(moved))
     report.add("min_escape_distance", min_escape)
 
     # invariant metric under conjugation

@@ -41,6 +41,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _constants,
     _Sampler,
     interpolate,
     stencil_gradient,
@@ -71,15 +72,8 @@ class DiffeoGrid:
         return np.stack([x, y]) + self.u.values
 
 
-def _constant_displacement(us: np.ndarray) -> np.ndarray | None:
-    c = us[:, 0, 0]
-    if np.all(us[0] == c[0]) and np.all(us[1] == c[1]):
-        return c
-    return None
-
-
 def _lattice_shift(spec: GridSpec, us: np.ndarray) -> tuple[int, int] | None:
-    c = _constant_displacement(us)
+    c = _constants(us)
     if c is None:
         return None
     k = c * spec.n
@@ -98,7 +92,7 @@ def _build(spec: GridSpec, us: np.ndarray, start: np.ndarray | None = None) -> D
         raise JacobianSignFlip("pointwise Jacobian determinant is not positive")
 
     u = VectorField(spec, us)
-    c = _constant_displacement(us)
+    c = _constants(us)
     if c is not None:
         return DiffeoGrid(spec, u, VectorField(spec, np.broadcast_to(-c[:, None, None], us.shape)), 0.0)
 
@@ -137,7 +131,7 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
     """phi o psi, sampled at cell centers; the inverse is recomputed, not composed."""
     if phi.spec != psi.spec:
         raise ValueError("cannot compose maps on different grids")
-    cu, cv = _constant_displacement(phi.u.values), _constant_displacement(psi.u.values)
+    cu, cv = _constants(phi.u.values), _constants(psi.u.values)
     if cu is not None and cv is not None:
         return translation(phi.spec, cu + cv)
     x, y = phi.spec.cell_centers()
@@ -162,16 +156,16 @@ def _rk4_steps(x_field: VectorField, t: float) -> int:
     return max(1, math.ceil(lip * (_RK4_ERROR_CONSTANT * s / _FLOW_ERROR_TARGET) ** 0.25))
 
 
-def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> DiffeoGrid:
+def flow_exp(x_field: VectorField, t: float) -> DiffeoGrid:
     """Time-t flow of a vector field, integrated with fixed-step RK4.
 
     Restricted to t * max|X| <= 1/4, which keeps the result inside the
     bijectivity neighborhood handled by the displacement representation.
-    By default the step count is N = max(1, ceil(L (C s / eps)^(1/4))) with
+    The step count is N = max(1, ceil(L (C s / eps)^(1/4))) with
     s = |t| max|X|, L = |t| max|D_a X^i| (4th-order stencil), C = 0.04 and
     eps = 1e-12: the RK4 error model C s (L/N)^4 then puts the displacement
     within eps of the exact flow of the interpolated field.  Zero and constant
-    fields take one step.  An explicit n_steps overrides the rule.
+    fields, and any field whose stencil gradient vanishes, take one step.
     """
     spec = x_field.spec
     scale = abs(t) * x_field.max_abs()
@@ -179,8 +173,7 @@ def flow_exp(x_field: VectorField, t: float, n_steps: int | None = None) -> Diff
         raise StepFailure(f"flow displacement bound {scale:.3f} exceeds 0.25")
     if t == 0.0:
         return identity_diffeo(spec)
-    if n_steps is None:
-        n_steps = _rk4_steps(x_field, t)
+    n_steps = _rk4_steps(x_field, t)
     x, y = spec.cell_centers()
     p = np.stack([x, y])
     dt = t / n_steps

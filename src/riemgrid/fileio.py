@@ -113,6 +113,8 @@ def read_field_meta(path):
         n = int(fields.get("n", ""))
     except ValueError:
         raise FormatError(f"{path}: bad resolution {fields.get('n')!r}")
+    if n < 4:
+        raise FormatError(f"{path}: resolution {n} is below 4")
     comps = _KIND_COMPONENTS[kind]
     declared = tuple(fields.get("components", "").split())
     if declared != comps:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .calculus import _trace_pairing_values
 from .errors import NoConvergence, PositivityLoss, ToleranceNotMet
-from .grid import MetricField, SymTensorField, _det
+from .grid import MetricField, SymTensorField, _cell_sum, _det
 
 # sample times of a returned path: the speed check runs between them
 _SAMPLES = 17
@@ -46,15 +46,8 @@ def ebin_inner(g: MetricField, s: SymTensorField, t: SymTensorField) -> float:
 
 
 def _sym_inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> float:
-    """ebin_inner on (3, n, n) stacks.
-
-    The cell terms are summed in sorted order, so the sum does not depend on
-    where each cell sits: a lattice translation, which moves the terms to other
-    cells, leaves it bitwise unchanged.
-    """
-    vals = (_trace_pairing_values(g._inverse, a, b) * g._volume).ravel()
-    vals.sort()
-    return float(g.spec.h ** 2 * vals.sum())
+    """ebin_inner on (3, n, n) stacks."""
+    return _cell_sum(g.spec, _trace_pairing_values(g._inverse, a, b) * g._volume)
 
 
 def _sym_norm(g: MetricField, a: np.ndarray) -> float:
@@ -110,9 +103,13 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0), np.sinh(safe) / safe)
 
 
-def _trace(inv: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """tr(g^{-1} s) per cell from the inverse stack."""
-    return inv[0] * s[0] + 2.0 * inv[1] * s[1] + inv[2] * s[2]
+def _traceless(metric: MetricField, s: np.ndarray) -> tuple:
+    """Per cell, a = tr A, k0 = s - (a/2) g = g A_0 and lambda for A = g^{-1} s (module docstring)."""
+    g, inv = metric.as_stack(), metric._inverse
+    a = inv[0] * s[0] + 2.0 * inv[1] * s[1] + inv[2] * s[2]
+    k0 = s - 0.5 * a * g
+    lam = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
+    return a, k0, lam
 
 
 def _geodesic(metric: MetricField, s: np.ndarray, t, velocity: bool = False):
@@ -121,10 +118,8 @@ def _geodesic(metric: MetricField, s: np.ndarray, t, velocity: bool = False):
     s is a (3, n, n) stack; t is a float or an array of times with shape
     (m, 1, 1), which adds a leading time axis to the results.
     """
-    g, inv = metric.as_stack(), metric._inverse
-    a = _trace(inv, s)
-    k0 = s - 0.5 * a * g  # g A_0
-    lam = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
+    g = metric.as_stack()
+    a, k0, lam = _traceless(metric, s)
     p = 1.0 + 0.25 * t * a
     q = 0.5 * t * lam
     if np.any((p <= 0.0) & (lam <= _APEX * np.abs(a))):
@@ -190,11 +185,8 @@ def ebin_log(g_base: MetricField, g_target: MetricField, tol: float = 1e-8) -> S
     relative sigma norm.
     """
     spec = g_base.spec
-    g, inv = g_base.as_stack(), g_base._inverse
-    k = g_target.as_stack()
-    half_tr = 0.5 * _trace(inv, k)
-    k0 = k - half_tr * g  # g B_0
-    mu = np.sqrt(np.maximum(0.5 * _trace_pairing_values(inv, k0, k0), 0.0))
+    g, k = g_base.as_stack(), g_target.as_stack()
+    _, k0, mu = _traceless(g_base, k)  # k0 = g B_0, mu the lambda of B
     r2 = np.sqrt(_det(k) / _det(g))
     alpha = 0.5 * np.arcsinh(mu / r2)
     outside = alpha >= np.pi

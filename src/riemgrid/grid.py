@@ -263,12 +263,28 @@ def stencil_gradient(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate(f: ScalarField) -> float:
-    """Midpoint-rule integral h^2 * sum(values) over the torus.
+    """Midpoint-rule integral h^2 * sum(values) over the torus, summed in sorted order."""
+    return _cell_sum(f.spec, f.values.copy())
 
-    The samples are summed in sorted order, so the sum does not depend on
-    where each one sits: a lattice translation leaves it bitwise unchanged.
+
+def _cell_sum(spec: GridSpec, terms: np.ndarray) -> float:
+    """h^2 times the sum of per-cell terms, added in sorted order.
+
+    The sum does not depend on where each term sits: a lattice translation,
+    which moves the terms to other cells, leaves it bitwise unchanged.  terms
+    is sorted in place, so pass a temporary.
     """
-    return float(f.spec.h ** 2 * np.sort(f.values, axis=None).sum())
+    vals = terms.ravel()
+    vals.sort()
+    return float(spec.h ** 2 * vals.sum())
+
+
+def _constants(stack: np.ndarray) -> np.ndarray | None:
+    """The per-component values of a (k, n, n) stack whose every component is constant, else None."""
+    c = stack[:, 0, 0]
+    if np.all(stack == c[:, None, None]):
+        return c
+    return None
 
 
 class VectorField(_Field):
@@ -381,10 +397,6 @@ def _flipped(values: np.ndarray, flip: str) -> np.ndarray:
     elif values.ndim == 3 and flip == "swap":
         values = values[::-1]
     return values
-
-
-def constant_scalar(spec: GridSpec, c: float) -> ScalarField:
-    return ScalarField(spec, np.full((spec.n, spec.n), float(c)))
 
 
 def constant_field(spec: GridSpec, m) -> SymTensorField:

@@ -41,9 +41,9 @@ def unit_draw(seed: int, counter: int) -> float:
 class DrawStream:
     """Sequential view over the counter-based stream."""
 
-    def __init__(self, seed: int, start: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed) & _MASK
-        self.counter = start
+        self.counter = 0
 
     def next_unit(self) -> float:
         u = unit_draw(self.seed, self.counter)
@@ -120,17 +120,17 @@ def random_vector_field(
     seed: int,
     max_mode: int = 4,
     amplitude: float = 1.0,
-    zero_mean: bool = True,
     period_cells: int | None = None,
 ) -> VectorField:
+    """Seeded smooth periodic vector field whose components always have zero mean.
+
+    Each component is a band-limited draw rescaled to max-abs amplitude (see
+    band_limited_scalar), then shifted by its mean, so the field carries no
+    constant translation.
+    """
     stream = DrawStream(seed)
-    comps = []
-    for _ in range(2):
-        v = _band_limited(spec, stream, max_mode, amplitude, period_cells)
-        if zero_mean:
-            v = v - np.mean(v)
-        comps.append(v)
-    return VectorField.from_arrays(spec, *comps)
+    comps = [_band_limited(spec, stream, max_mode, amplitude, period_cells) for _ in range(2)]
+    return VectorField.from_arrays(spec, *(v - np.mean(v) for v in comps))
 
 
 def random_sym_tensor(

@@ -28,7 +28,7 @@ from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _trace_pairin
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import JacobianSignFlip, NoConvergence, SolverStall, StepFailure
 from .geodesics import _exp_endpoint, _sym_inner, _sym_norm, ebin_log, ebin_norm, relative_distance
-from .grid import MetricField, SymTensorField, VectorField, _flipped, interpolate
+from .grid import MetricField, SymTensorField, VectorField, _constants, _flipped, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +68,6 @@ _PCG_MAX = 60
 _PCG_RTOL = 1e-13
 # the preconditioner of each live curved base; apply holds no reference to g, so it goes with g
 _PRECONDITIONERS = weakref.WeakKeyDictionary()
-
-
-def _is_constant_metric(g: MetricField) -> bool:
-    return bool(np.all(np.ptp(g.as_stack(), axis=(1, 2)) == 0.0))
 
 
 def _split_operator(g: MetricField, xs: np.ndarray) -> np.ndarray:
@@ -189,8 +185,9 @@ def _split(g: MetricField, ss: np.ndarray) -> tuple:
     curved one.  Nothing checks the divergence left in h.
     """
     b = _divergence_stack(g, ss)
-    if _is_constant_metric(g):
-        solve, _ = _fourier_solver(g.spec.n, *(float(c[0, 0]) for c in g.as_stack()))
+    constants = _constants(g.as_stack())
+    if constants is not None:
+        solve, _ = _fourier_solver(g.spec.n, *map(float, constants))
         xs, method, iterations = solve(b), "fft", 0
     else:
         c = -2.0 * g._volume * b
@@ -429,7 +426,7 @@ def lattice_transport(iso: LatticeIsometry, field):
 
 def candidate_family(n: int):
     """All 4 n^2 candidates: flips/swap composed with every lattice shift."""
-    for flip in ("id", "fx", "fy", "swap"):
+    for flip in _FLIP_MATRICES:
         for b1 in range(n):
             for b2 in range(n):
                 yield LatticeIsometry(flip, (b1, b2))
@@ -548,9 +545,13 @@ class ConjugationReport:
     max_deviation: float
 
 
+def _half_wrap(d: np.ndarray) -> np.ndarray:
+    """d moved by whole torus lengths into [-1/2, 1/2)."""
+    return (d + 0.5) % 1.0 - 0.5
+
+
 def _torus_gap(a: np.ndarray, b: np.ndarray) -> float:
-    d = (a - b + 0.5) % 1.0 - 0.5
-    return float(np.max(np.abs(d)))
+    return float(np.max(np.abs(_half_wrap(a - b))))
 
 
 def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6):
@@ -590,7 +591,7 @@ def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6)
         # split into +-1/2.  All base candidates are searched only when the
         # guess does not match.
         r = np.stack([qx, qy]) - np.stack(LatticeIsometry(iota.flip, (0, 0)).map_points(n, x, y))
-        r = r[:, :1, :1] + (r - r[:, :1, :1] + 0.5) % 1.0 - 0.5
+        r = r[:, :1, :1] + _half_wrap(r - r[:, :1, :1])
         guess = LatticeIsometry(iota.flip, tuple(int(b) % n for b in np.round(np.mean(r, axis=(1, 2)) * n)))
         scored = [(deviation(guess), guess)] if guess in base_set else []
         if not scored or scored[0][0] > tol:

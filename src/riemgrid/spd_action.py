@@ -101,8 +101,8 @@ class IsotropyGroup:
         return any(min(abs(r.theta - a), _TWO_PI - abs(r.theta - a)) <= 1e-12 for a in self.angles)
 
 
-def isotropy_of(a: SpdPoint, tol: float = 1e-12) -> IsotropyGroup:
-    if a.is_scalar(tol):
+def isotropy_of(a: SpdPoint) -> IsotropyGroup:
+    if a.is_scalar(1e-12):
         return IsotropyGroup(True, ())
     return IsotropyGroup(False, (0.0, math.pi))
 
@@ -163,10 +163,16 @@ class FiniteSlice:
         d = q.chart - self.base.chart
         return float(d @ np.asarray(self.n1)), float(d @ np.asarray(self.n2))
 
-    def contains(self, q: SpdPoint, tol: float = 1e-12) -> bool:
+    def distance(self, q: SpdPoint) -> float:
+        """Chart distance from q to the slice disk.
+
+        n1 and n2 are orthonormal, so it is the hypotenuse of q's offset from
+        the disk's plane and of its slice coordinates' excess over the radius.
+        """
         s1, s2 = self.coords_of(q)
         d = q.chart - self.base.chart - s1 * np.asarray(self.n1) - s2 * np.asarray(self.n2)
-        return bool(np.linalg.norm(d) <= tol and s1 ** 2 + s2 ** 2 < self.radius ** 2)
+        excess = max(0.0, math.hypot(s1, s2) - self.radius)
+        return math.hypot(float(np.linalg.norm(d)), excess)
 
 
 def slice_at(a: SpdPoint, eps: float) -> FiniteSlice:

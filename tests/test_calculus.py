@@ -191,7 +191,7 @@ def test_sharp_flat_roundtrip_random():
         )
     )
     for seed in (0, 1, 2):
-        v = random_vector_field(spec, seed, amplitude=1.0, zero_mean=False)
+        v = random_vector_field(spec, seed, amplitude=1.0)
         back = sharp(g, flat(g, v))
         assert np.max(np.abs(back.as_stack() - v.as_stack())) <= 1e-12
 

@@ -21,6 +21,7 @@ from riemgrid.grid import (
     MetricField,
     SymTensorField,
     VectorField,
+    _Sampler,
     constant_vector,
     identity_metric,
     interpolate,
@@ -42,6 +43,28 @@ def map_gap(phi, psi):
         np.max(np.abs(phi.u.v1.values - psi.u.v1.values)),
         np.max(np.abs(phi.u.v2.values - psi.u.v2.values)),
     )
+
+
+def rk4(x_field, t, n_steps, sample=None):
+    """Displacement of the time-t flow by n_steps fixed RK4 steps, with flow_exp's arithmetic.
+
+    Each stage evaluates sample(x, y), by default one spline sampler for the
+    whole flow as flow_exp keeps.
+    """
+    sample = _Sampler(x_field) if sample is None else sample
+    x, y = x_field.spec.cell_centers()
+    p = np.stack([x, y])
+    dt = t / n_steps
+    for _ in range(n_steps):
+        k1 = sample(p[0], p[1])
+        q = p + 0.5 * dt * k1
+        k2 = sample(q[0], q[1])
+        q = p + 0.5 * dt * k2
+        k3 = sample(q[0], q[1])
+        q = p + dt * k3
+        k4 = sample(q[0], q[1])
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p - np.stack([x, y])
 
 
 def test_identity_diffeo():
@@ -97,12 +120,8 @@ def test_invert_flow_matches_negative_field():
     spec = GridSpec(64)
     x = random_vector_field(spec, 8, max_mode=1, amplitude=0.02)
     fwd = flow_exp(x, 1.0)
-    back = flow_exp(x * -1.0, 1.0, n_steps=128)
-    gap = max(
-        np.max(np.abs(invert(fwd).u.v1.values - back.u.v1.values)),
-        np.max(np.abs(invert(fwd).u.v2.values - back.u.v2.values)),
-    )
-    assert gap <= 1e-8
+    back = rk4(x * -1.0, 1.0, 128)
+    assert np.max(np.abs(invert(fwd).u.values - back)) <= 1e-8
 
 
 def test_invert_identity():
@@ -124,8 +143,8 @@ def test_flow_matches_dense_reference():
     _, y = spec.cell_centers()
     x_field = VectorField.from_arrays(spec, np.sin(2 * np.pi * y), np.zeros((64, 64)))
     coarse = flow_exp(x_field, 0.1)
-    dense = flow_exp(x_field, 0.1, n_steps=1000)  # dt = 1e-4
-    assert map_gap(coarse, dense) <= 1e-8
+    dense = rk4(x_field, 0.1, 1000)  # dt = 1e-4
+    assert np.max(np.abs(coarse.u.values - dense)) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -143,8 +162,8 @@ def test_flow_step_rule_matches_1024_step_oracle(n, seed, amplitude, t_lip, max_
     t = 1.0 if t_lip is None else t_lip / lip
     assert _rk4_steps(x_field, t) <= max_steps
     phi = flow_exp(x_field, t)
-    oracle = flow_exp(x_field, t, n_steps=1024)
-    assert np.max(np.abs(phi.u.values - oracle.u.values)) <= 1e-12
+    oracle = rk4(x_field, t, 1024)
+    assert np.max(np.abs(phi.u.values - oracle)) <= 1e-12
 
 
 def test_flow_of_zero_and_constant_fields_takes_one_step():
@@ -183,12 +202,14 @@ def test_flow_displacement_bound():
 
 def test_flow_with_non_finite_positions_raises():
     # a checkerboard at 1e308 overflows the spline prefilter, and t keeps
-    # t max|X| inside the displacement bound
+    # t max|X| inside the displacement bound; its stencil gradient is exactly
+    # 0, so the step rule takes one step
     spec = GridSpec(16)
     sign = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2 == 0, 1.0, -1.0)
     x_field = VectorField.from_arrays(spec, 1e308 * sign, 1e308 * sign)
+    assert _rk4_steps(x_field, 1e-309) == 1
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepFailure, match="non-finite positions"):
-        flow_exp(x_field, 1e-309, n_steps=1)
+        flow_exp(x_field, 1e-309)
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +220,6 @@ def drifting_field(n, seed):
     """A mean drift of (0.2, -0.15) plus a max_mode 2 perturbation: its flow crosses cells and the torus edge."""
     spec = GridSpec(n)
     return constant_vector(spec, (0.2, -0.15)) + random_vector_field(spec, seed, amplitude=0.03, max_mode=2)
-
-
-def fresh_rk4(x_field, t):
-    """flow_exp's displacement, with a fresh interpolate call at every RK4 stage."""
-    x, y = x_field.spec.cell_centers()
-    p = np.stack([x, y])
-    n_steps = _rk4_steps(x_field, t)
-    dt = t / n_steps
-    for _ in range(n_steps):
-        k1 = interpolate(x_field, p[0], p[1])
-        q = p + 0.5 * dt * k1
-        k2 = interpolate(x_field, q[0], q[1])
-        q = p + 0.5 * dt * k2
-        k3 = interpolate(x_field, q[0], q[1])
-        q = p + dt * k3
-        k4 = interpolate(x_field, q[0], q[1])
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return p - np.stack([x, y])
 
 
 def fresh_newton(u, start):
@@ -240,7 +243,9 @@ def test_flow_equals_rk4_with_fresh_interpolation(n, t):
     points = phi.points()
     assert np.min(np.abs(phi.u.values[0])) * n > 2.0  # every point crosses at least two cells
     assert np.any(points < 0.0) and np.any(points >= 1.0)  # and some wrap the torus edge
-    assert np.array_equal(phi.u.values, fresh_rk4(x_field, t))
+    # flow_exp's displacement, with a fresh interpolate call at every RK4 stage
+    fresh = rk4(x_field, t, _rk4_steps(x_field, t), lambda x, y: interpolate(x_field, x, y))
+    assert np.array_equal(phi.u.values, fresh)
     assert np.array_equal(phi.v.values, fresh_newton(phi.u, -phi.u.values))
 
 

@@ -95,6 +95,16 @@ def test_truncated_payload_rejected(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("n", [-4, 2])
+def test_resolution_below_four_rejected(tmp_path, n):
+    # the payload holds 3 n^2 samples, so its size matches the header
+    path = tmp_path / "tiny.rgf"
+    header = f"riemgrid-field 1\nkind = metric\nn = {n}\ncomponents = g11 g12 g22\n---\n"
+    path.write_bytes(header.encode("ascii") + np.repeat([1.0, 0.0, 1.0], n * n).astype("<f8").tobytes())
+    with pytest.raises(FormatError, match="resolution"):
+        read_field(path)
+
+
 def test_meta_roundtrip(tmp_path):
     path = tmp_path / "p.rgf"
     write_field(path, identity_metric(SPEC), meta={"t": "0.25", "label": "start"})

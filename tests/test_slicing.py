@@ -1,6 +1,7 @@
 """Splitting, slice decomposition, path lifting, and the isometry probes."""
 
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from riemgrid import slicing
 from riemgrid.calculus import divergence, lie_derivative_metric, sharp, vector_inner
 from riemgrid.diffeos import flow_exp, pullback, translation
 from riemgrid.errors import NoConvergence, SolverStall
-from riemgrid.geodesics import _sym_norm, ebin_exp, ebin_inner, ebin_log, ebin_norm
+from riemgrid.geodesics import _sym_norm, ebin_exp, ebin_inner, ebin_log, ebin_norm, relative_distance
 from riemgrid.grid import (
     GridSpec,
     MetricField,
@@ -203,6 +204,20 @@ def test_project_curved_floor_refines_at_fourth_order():
     assert rel[1] <= rel[0] / 2 ** 4
 
 
+@pytest.mark.parametrize("seed", [2, 4, 6])
+def test_project_generic_curved_base_stalls_at_the_n16_floor(seed):
+    # at n=16 about 1e-3 of div s is checkerboard content, which no X without
+    # checkerboards removes: PCG stops on its relative residual (17
+    # iterations), below the cap, and leaves 10-22 times the tol bound
+    g = generic_metric(16, 1)
+    s = random_sym_tensor(g.spec, seed, amplitude=0.05)
+    with pytest.raises(SolverStall):
+        berger_ebin_project(g, s, tol=1e-4)
+    split, _ = slicing._split(g, s.values)
+    assert split.iterations < slicing._PCG_MAX
+    assert divergence_norm(g, split.h) >= 5e-4 * divergence_norm(g, s)
+
+
 def test_project_near_killing_bases_split_without_stall():
     # on I + eps p the translations are nearly Killing; with an exactly adjoint
     # divergence the split is symmetric and reaches tol at every eps.  At n=16
@@ -281,6 +296,31 @@ def test_membership_rejects_gauge_motion():
     assert res.divergence_defect > 1e-2
 
 
+def one_cell_g22(n, value):
+    stack = identity_metric(GridSpec(n)).as_stack().copy()
+    stack[2, 3, 5] = value
+    return MetricField.from_stack(GridSpec(n), stack)
+
+
+@pytest.mark.parametrize(
+    "g, distance",
+    [
+        pytest.param(constant_metric(GridSpec(16), 2.0 * np.eye(2)), 1.0, id="beyond-0.5"),
+        pytest.param(one_cell_g22(16, 3e-6), 0.0442, id="log-angle-pi"),
+    ],
+)
+def test_membership_outside_chart(g, distance):
+    # the first fails the relative-distance pre-check; the second passes it,
+    # but one cell's log angle is 3.18 >= pi, where no geodesic reaches it
+    base = identity_metric(GridSpec(16))
+    assert relative_distance(base, g) == pytest.approx(distance, abs=1e-4)
+    res = slice_membership(base, g)
+    assert not res.member
+    assert res.reason == "outside chart"
+    assert res.divergence_defect == math.inf
+    assert res.log_velocity is None
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -338,17 +378,26 @@ def test_decompose_h_divergence_bound():
     assert _divergence_defect(GAMMA, dec.h) <= 1e-8
 
 
-@pytest.mark.parametrize("seed", [2, 4, 6])
-def test_decompose_curved_base_recovery_tracks_tol(seed):
+@pytest.mark.parametrize(
+    "n, seed, tols",
+    [
+        pytest.param(32, 2, (1e-6, 1e-8), id="2"),
+        pytest.param(32, 4, (1e-6, 1e-8), id="4"),
+        pytest.param(32, 6, (1e-6, 1e-8), id="6"),
+        pytest.param(64, 2, (1e-6, 1e-8, 1e-10), id="n64-2"),
+    ],
+)
+def test_decompose_curved_base_recovery_tracks_tol(n, seed, tols):
     # every step splits by PCG at the curved base; measured worst h error
-    # 0.91 tol |base| and phi error 0.51 tol over these seeds
-    base = generic_metric(32, 1)
+    # 0.91 tol |base| and phi error 0.51 tol over the n=32 seeds, and
+    # 0.18, 0.45 and 0.17 tol |base| (phi at most 0.09 tol) at n=64
+    base = generic_metric(n, 1)
     norm_base = ebin_norm(base, base.g)
     split = berger_ebin_project(base, random_sym_tensor(base.spec, seed, amplitude=0.05), tol=1e-4)
     h0 = split.h * (0.03 * norm_base / ebin_norm(base, split.h))
     phi0 = flow_exp(random_vector_field(base.spec, seed + 1, amplitude=0.002), 1.0)
     g = pullback(phi0, ebin_exp(base, h0, 1.0).endpoint)
-    for tol in (1e-6, 1e-8):
+    for tol in tols:
         dec = slice_decompose(base, g, tol=tol)
         assert dec.residual <= tol
         assert ebin_norm(base, dec.h - h0) <= 2.0 * tol * norm_base

@@ -163,12 +163,13 @@ def test_slice_property_i_isotropy_fixes_slice_pointwise():
             assert act(Rot(math.pi), pt).frobenius_distance(pt) <= 1e-12
 
 
-def slice_distance(sl, q):
-    p = np.asarray(q.chart) - np.asarray(sl.base.chart)
-    s1 = float(p @ np.asarray(sl.n1))
-    s2 = float(p @ np.asarray(sl.n2))
-    out = p - s1 * np.asarray(sl.n1) - s2 * np.asarray(sl.n2)
-    return math.hypot(float(np.linalg.norm(out)), max(0.0, math.hypot(s1, s2) - sl.radius))
+def test_slice_distance_is_plane_offset_and_rim_excess():
+    sl = slice_at(BASE, 0.1)  # base chart (0.5, 0, 1.5), n1 = (1, 0, 0), n2 = (0, 0, 1)
+    for s1, s2 in ((0.0, 0.0), (0.05, -0.03), (-0.06, 0.07)):
+        assert sl.distance(sl.point(s1, s2)) <= 1e-15
+    assert sl.distance(SpdPoint.from_chart(0.5, 0.05, 1.5)) == pytest.approx(0.05, rel=1e-12)
+    assert sl.distance(SpdPoint.from_chart(0.62, 0.0, 1.66)) == pytest.approx(0.1, rel=1e-12)
+    assert sl.distance(SpdPoint.from_chart(0.62, 0.05, 1.66)) == pytest.approx(math.hypot(0.05, 0.1), rel=1e-12)
 
 
 def test_slice_property_ii_other_rotations_leave_the_slice():
@@ -181,7 +182,7 @@ def test_slice_property_ii_other_rotations_leave_the_slice():
         if min(theta % math.pi, math.pi - theta % math.pi) < gap:
             continue  # skip the isotropy angles themselves
         moved = act(Rot(theta), pt)
-        assert slice_distance(sl, moved) > 1e-4
+        assert sl.distance(moved) > 1e-4
 
 
 # ---------------------------------------------------------------------------
