@@ -125,7 +125,6 @@ def cmd_project(cfg: RunConfig):
         write_field(out / "x.rgf", split.x)
         write_field(out / "h.rgf", split.h)
     report = Report("project")
-    report.add("solver", split.method)
     report.add("iterations", split.iterations)
     report.add("reconstruction_rel", recon_rel)
     report.add("divergence_rel", div_rel)

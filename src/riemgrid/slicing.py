@@ -2,10 +2,11 @@
 
 The tangent space at a metric g splits sigma-orthogonally into the orbit
 directions {L_X g} of the pullback action and the divergence-free tensors.
-berger_ebin_project computes that splitting matrix-free: by an exact FFT solve
-on constant bases, and on curved ones by conjugate gradients on the symmetric
-operator L^T W L (the discrete divergence is the exact sigma-adjoint of the
-discrete L_X g), preconditioned by that solve plus the two translations;
+berger_ebin_project computes that splitting matrix-free, on every base by
+conjugate gradients on the symmetric operator L^T W L (the discrete divergence
+is the exact sigma-adjoint of the discrete L_X g), preconditioned by the FFT
+solve at the mean metric plus the two translations; on a constant base that
+preconditioner is the exact inverse, and one iteration solves;
 slice_decompose inverts the local product chart, writing a nearby metric as
 pullback(phi, exp_g(h)) with div-free h; horizontal_lift removes the orbit
 component of a path's velocity step by step.  Isometry probing is
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,7 +28,7 @@ from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _trace_pairin
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import JacobianSignFlip, NoConvergence, SolverStall, StepFailure
 from .geodesics import _exp_endpoint, _sym_inner, _sym_norm, ebin_log, ebin_norm, relative_distance
-from .grid import MetricField, SymTensorField, VectorField, _constants, _flipped, interpolate
+from .grid import MetricField, SymTensorField, VectorField, _flipped, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,9 @@ class SplitResult:
     """S = L_X g + h with h divergence-free; X is the gauge generator.
 
     X carries no stencil checkerboard, and no translation that is Killing
-    (zero mean on a constant base) or near-Killing.  method names the solver:
-    "fft" (exact, constant base, 0 iterations) or "pcg" (curved base).
+    (zero mean on a constant base) or near-Killing.  iterations counts the
+    PCG steps; on a constant base, where the preconditioner is exact, one
+    step solves.
     orthogonality_defect is |sigma(L_X g, h)| / |S|^2, which stays at roundoff
     also when S is almost all L_X g or almost all h.
     """
@@ -50,7 +51,6 @@ class SplitResult:
     h: SymTensorField
     orthogonality_defect: float
     iterations: int
-    method: str
 
 
 # |div s| below this fraction of |s| is stencil roundoff
@@ -66,7 +66,7 @@ _NEAR_KILLING = 1e-10
 # PCG: iteration cap, and the drop of sqrt(r^T M r) that ends the solve
 _PCG_MAX = 60
 _PCG_RTOL = 1e-13
-# the preconditioner of each live curved base; apply holds no reference to g, so it goes with g
+# the preconditioner of each live base; apply holds no reference to g, so it goes with g
 _PRECONDITIONERS = weakref.WeakKeyDictionary()
 
 
@@ -75,7 +75,6 @@ def _split_operator(g: MetricField, xs: np.ndarray) -> np.ndarray:
     return -2.0 * g._volume * _divergence_stack(g, _lie_stack(g, xs))
 
 
-@lru_cache(maxsize=8)
 def _fourier_solver(n: int, g11: float, g12: float, g22: float):
     """Exact solve of div(L_X g) = b for the constant metric g, by FFT.
 
@@ -110,14 +109,15 @@ def _fourier_solver(n: int, g11: float, g12: float, g22: float):
 
 
 def _preconditioner(g: MetricField):
-    """Symmetric approximate inverse of K on a curved base, as a closure.
+    """Symmetric approximate inverse of K, as a closure built once per base.
 
     Two levels, added: the Fourier solve at the mean metric, which inverts K
     there but leaves out the constants, plus the exact solve Z E^+ Z^T on the
     two unit translations Z, with E = Z^T K Z, which are not Killing on a
     curved base.  Eigen-directions of E below _NEAR_KILLING of K's smallest
     gain on smooth modes are dropped.  The checkerboards are in neither
-    range, so no iterate carries them.
+    range, so no iterate carries them.  On a constant base E = 0, both
+    translations are dropped, and what is left is the exact inverse of K.
     """
     if g in _PRECONDITIONERS:
         return _PRECONDITIONERS[g]
@@ -127,7 +127,8 @@ def _preconditioner(g: MetricField):
     weight = 2.0 * math.sqrt(means[0] * means[2] - means[1] * means[1])  # K = -2 vol div L there
     units = np.zeros((2, 2, n, n))
     units[0, 0] = units[1, 1] = 1.0 / n  # unit-norm translations
-    e = np.array([[_dot(zi, _split_operator(g, zj)) for zj in units] for zi in units])
+    kz = [_split_operator(g, zj) for zj in units]
+    e = np.array([[_dot(zi, kzj) for kzj in kz] for zi in units])
     gains, vecs = np.linalg.eigh(e)
     keep = gains > _NEAR_KILLING * weight * sigma_min
     coarse = np.einsum("jk,j...->k...", vecs[:, keep], units)
@@ -181,52 +182,46 @@ def _one_form_norm(g: MetricField, ws: np.ndarray) -> float:
 def _split(g: MetricField, ss: np.ndarray) -> tuple:
     """Split the stack ss into L_X g + h; returns (SplitResult, div ss).
 
-    Solves div(L_X g) = div ss for X: by FFT on a constant base, by PCG on a
-    curved one.  Nothing checks the divergence left in h.
+    Solves div(L_X g) = div ss for X by PCG.  Nothing checks the divergence
+    left in h.
     """
     b = _divergence_stack(g, ss)
-    constants = _constants(g.as_stack())
-    if constants is not None:
-        solve, _ = _fourier_solver(g.spec.n, *map(float, constants))
-        xs, method, iterations = solve(b), "fft", 0
-    else:
-        c = -2.0 * g._volume * b
-        xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), c)
-        method = "pcg"
+    xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), -2.0 * g._volume * b)
     lie = _lie_stack(g, xs)
     hs = ss - lie
     denom = max(_sym_inner(g, ss, ss), 1e-300)
     defect = abs(_sym_inner(g, lie, hs)) / denom
-    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations, method), b
+    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations), b
 
 
 def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -> SplitResult:
     """Split s into an orbit-tangent part L_X g and a divergence-free part h.
 
-    Solves div(L_X g) = div(s) for X.  On a constant-coefficient base the
-    operator is a Fourier multiplier with a 2x2 symbol per wavenumber, and the
-    FFT solve is exact; its kernel (constants and stencil checkerboards) is
-    left out, pinning the zero-mean gauge.  On a curved base div is the exact
-    adjoint of L_X g, so K = -2 vol div L is symmetric, and PCG, preconditioned
-    by that solve at the mean metric plus a coarse solve on the translations,
-    runs to a relative residual of 1e-13 whatever tol is; the divergence left
-    in h must then be at most tol times that of s.  What it cannot remove is
-    the checkerboard content of div s (1e-3 of it on a generic base at n=16,
-    3e-7 at n=32), which falls fast under refinement, and the content along a
-    translation that is near-Killing (left out, as its solve would move X by
-    an ill-determined shift).  A tol below that floor raises SolverStall
-    (retry with higher resolution or a looser tolerance).
+    Solves div(L_X g) = div(s) for X.  div is the exact adjoint of L_X g, so
+    K = -2 vol div L is symmetric, and PCG runs to a relative residual of
+    1e-13 whatever tol is.  Its preconditioner is the FFT solve at the mean
+    metric, where the operator is a Fourier multiplier with a 2x2 symbol per
+    wavenumber and its kernel (constants and stencil checkerboards) is left
+    out, plus a coarse solve on the translations.  On a constant base that is
+    the exact inverse, so one iteration solves and X has zero mean.  The
+    divergence left in h must be at most tol times that of s.  What no split
+    can remove is the checkerboard content of div s (1e-3 of it on a generic
+    base at n=16, 3e-7 at n=32), which falls fast under refinement, and the
+    content along a translation that is near-Killing (left out, as its solve
+    would move X by an ill-determined shift).  A tol below that floor raises
+    SolverStall (retry with higher resolution or a looser tolerance).
     """
     split, b = _split(g, s.values)
-    if split.method == "pcg":
-        div_s_norm = _one_form_norm(g, b)
-        achieved = _one_form_norm(g, _divergence_stack(g, split.h.values))
-        # relative to div s, unless s is divergence-free to roundoff
-        bound = tol * max(div_s_norm, _DIV_ROUNDOFF * ebin_norm(g, s))
-        if achieved > bound:
-            raise SolverStall(
-                f"PCG left divergence {achieved:.3e} above bound {bound:.3e} after {split.iterations} iterations"
-            )
+    div_s_norm = _one_form_norm(g, b)
+    achieved = _one_form_norm(g, _divergence_stack(g, split.h.values))
+    # relative to div s, unless s is divergence-free to roundoff
+    bound = tol * max(div_s_norm, _DIV_ROUNDOFF * ebin_norm(g, s))
+    if achieved > bound:
+        if split.iterations == _PCG_MAX:
+            stop = f"stopped at its {_PCG_MAX}-iteration cap"
+        else:
+            stop = f"stopped on its relative residual after {split.iterations} iterations, at the checkerboard floor"
+        raise SolverStall(f"PCG left divergence {achieved:.3e} above bound {bound:.3e}: {stop}")
     return split
 
 

@@ -71,7 +71,7 @@ class SpdPoint:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
-    def is_scalar(self, tol: float = 0.0) -> bool:
+    def is_scalar(self, tol: float) -> bool:
         u, v, _ = self.chart
         return math.hypot(u, v) <= tol
 

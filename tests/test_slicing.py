@@ -150,7 +150,7 @@ def test_dropped_base_is_freed_with_its_preconditioner():
     # cached inverse, volume and gradients go when the caller drops it
     spec = GridSpec(16)
     g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
-    assert berger_ebin_project(g, random_sym_tensor(spec, 1001, amplitude=0.05), tol=1e-2).method == "pcg"
+    berger_ebin_project(g, random_sym_tensor(spec, 1001, amplitude=0.05), tol=1e-2)
     ref = weakref.ref(g)
     del g
     gc.collect()
@@ -167,11 +167,18 @@ def divergence_norm(g, s):
     return np.sqrt(vector_inner(g, v, v))
 
 
-def test_project_fft_exact_on_sheared_constant_metric():
+def checkerboard_peak(xs):
+    """Largest stencil-checkerboard Fourier amplitude of X over its largest."""
+    xh = np.abs(np.fft.fft2(xs))
+    m = xs.shape[-1] // 2
+    return max(np.max(xh[:, i, j]) for i, j in ((m, 0), (0, m), (m, m))) / np.max(xh)
+
+
+def test_project_exact_on_sheared_constant_metric():
     g = constant_metric(SPEC, np.array([[1.3, 0.2], [0.2, 0.8]]))
     y_field = random_vector_field(SPEC, 14, amplitude=0.3)
     split = berger_ebin_project(g, lie_derivative_metric(g, y_field), tol=1e-12)
-    assert split.method == "fft" and split.iterations == 0
+    assert split.iterations == 1
     assert split.orthogonality_defect <= 1e-13
     assert np.max(np.abs(split.x.as_stack() - y_field.as_stack())) <= 1e-8
     assert np.max(np.abs(np.mean(split.x.as_stack(), axis=(1, 2)))) <= 1e-13
@@ -184,14 +191,31 @@ def test_project_generic_curved_base_meets_tolerance_at_n32():
     g = generic_metric(32, 1)
     s = random_sym_tensor(g.spec, 1001, amplitude=0.05)
     split = berger_ebin_project(g, s, tol=1e-4)
-    assert split.method == "pcg" and 0 < split.iterations <= 60
+    assert 0 < split.iterations <= 60
     assert divergence_norm(g, split.h) <= 1e-4 * divergence_norm(g, s)
     recon = lie_derivative_metric(g, split.x) + split.h - s
     assert ebin_norm(g, recon) <= 1e-12 * ebin_norm(g, s)
     # the stencil checkerboards are null modes and never enter X
-    xh = np.abs(np.fft.fft2(split.x.as_stack()))
-    m = g.spec.n // 2
-    assert max(np.max(xh[:, i, j]) for i, j in ((m, 0), (0, m), (m, m))) <= 1e-12 * np.max(xh)
+    assert checkerboard_peak(split.x.as_stack()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 24, 64])
+@pytest.mark.parametrize("matrix", [np.eye(2), [[1.3, 0.2], [0.2, 0.8]], [[0.7, -0.1], [-0.1, 1.9]]])
+def test_project_constant_base_solves_in_one_pcg_iteration(n, matrix):
+    # on a constant base the preconditioner is the exact Fourier inverse (at
+    # n=24 the mean metric comes from an inexact sum), so PCG stops after one
+    # iteration on the closed-form solve
+    spec = GridSpec(n)
+    g = constant_metric(spec, np.array(matrix, dtype=float))
+    s = random_sym_tensor(spec, 1001, amplitude=0.05)
+    split = berger_ebin_project(g, s, tol=1e-12)
+    assert split.iterations == 1
+    solve, _ = slicing._fourier_solver(n, *(float(c[0, 0]) for c in g.as_stack()))
+    x_ref = solve(divergence(g, s).as_stack())
+    xs = split.x.as_stack()
+    assert np.max(np.abs(xs - x_ref)) <= 1e-14 * np.max(np.abs(x_ref))
+    assert np.max(np.abs(np.mean(xs, axis=(1, 2)))) <= 1e-13
+    assert checkerboard_peak(xs) <= 1e-12
 
 
 def test_project_curved_floor_refines_at_fourth_order():
@@ -211,11 +235,22 @@ def test_project_generic_curved_base_stalls_at_the_n16_floor(seed):
     # iterations), below the cap, and leaves 10-22 times the tol bound
     g = generic_metric(16, 1)
     s = random_sym_tensor(g.spec, seed, amplitude=0.05)
-    with pytest.raises(SolverStall):
+    with pytest.raises(SolverStall, match="stopped on its relative residual after 17 iterations, at the checkerboard"):
         berger_ebin_project(g, s, tol=1e-4)
     split, _ = slicing._split(g, s.values)
     assert split.iterations < slicing._PCG_MAX
     assert divergence_norm(g, split.h) >= 5e-4 * divergence_norm(g, s)
+
+
+def test_project_moved_curved_base_stalls_at_the_iteration_cap():
+    # a curved base moved by a gauge at n=128: PCG is still descending when it
+    # reaches its cap, and leaves 1.4e-6 of div s against a 6.9e-7 bound
+    spec = GridSpec(128)
+    curved = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
+    g = pullback(flow_exp(random_vector_field(spec, 5, amplitude=0.05, max_mode=2), 1.0), curved)
+    s = random_sym_tensor(spec, 11, amplitude=0.05)
+    with pytest.raises(SolverStall, match=f"stopped at its {slicing._PCG_MAX}-iteration cap"):
+        berger_ebin_project(g, s, tol=1e-6)
 
 
 def test_project_near_killing_bases_split_without_stall():
