@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,59 +35,44 @@ from .slicing import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    grid: int
-    seed: int
-    tol_solver: float
-    tol_decompose: float
-    in_dir: Path | None
-    out_dir: Path | None
-    report_path: Path | None
-
-    def __post_init__(self):
-        if self.grid < 4:
-            raise ValueError("grid resolution must be at least 4")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        for name in ("tol_solver", "tol_decompose"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name.replace('_', '-')} must be positive and finite")
-
-    def need_in(self) -> Path:
-        if self.in_dir is None:
-            raise ValueError("this subcommand requires --in")
-        return self.in_dir
-
-    def need_out(self) -> Path:
-        if self.out_dir is None:
-            raise ValueError("this subcommand requires --out")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir
+def _check_flags(args: argparse.Namespace) -> None:
+    if args.grid < 4:
+        raise ValueError("grid resolution must be at least 4")
+    if not (0 <= args.seed < 2 ** 64):
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    for name in ("tol_solver", "tol_decompose"):
+        if not 0 < getattr(args, name) < math.inf:
+            raise ValueError(f"{name.replace('_', '-')} must be positive and finite")
 
 
-def _load(directory: Path, name: str):
-    path = directory / name
-    if not path.exists():
-        raise FileNotFoundError(f"missing input file {path}")
-    return read_field(path)
+def _need_in(args: argparse.Namespace) -> Path:
+    if args.in_dir is None:
+        raise ValueError("this subcommand requires --in")
+    return args.in_dir
+
+
+def _need_out(args: argparse.Namespace) -> Path:
+    if args.out_dir is None:
+        raise ValueError("this subcommand requires --out")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return args.out_dir
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_gen_examples(cfg: RunConfig):
-    out = cfg.need_out()
-    spec = GridSpec(cfg.grid)
+def cmd_gen_examples(args: argparse.Namespace):
+    out = _need_out(args)
+    spec = GridSpec(args.grid)
     gamma = identity_metric(spec)
     norm_gamma = ebin_norm(gamma, gamma.g)
 
-    s = random_sym_tensor(spec, cfg.seed, amplitude=0.05)
-    x = random_vector_field(spec, cfg.seed + 1, amplitude=0.05)
-    h0 = divergence_free_tensor(spec, cfg.seed + 2)
+    s = random_sym_tensor(spec, args.seed, amplitude=0.05)
+    x = random_vector_field(spec, args.seed + 1, amplitude=0.05)
+    h0 = divergence_free_tensor(spec, args.seed + 2)
     h0 = h0 * (0.05 * norm_gamma / ebin_norm(gamma, h0))
-    x_small = random_vector_field(spec, cfg.seed + 3, amplitude=0.002)
+    x_small = random_vector_field(spec, args.seed + 3, amplitude=0.002)
     g = pullback(flow_exp(x_small, 1.0), _exp_endpoint(gamma, h0.values))
 
     write_field(out / "gamma.rgf", gamma)
@@ -98,9 +82,9 @@ def cmd_gen_examples(cfg: RunConfig):
     write_field(out / "g.rgf", g)
 
     # path fields are band-limited harder: lift quality is interpolation-limited
-    h_path = divergence_free_tensor(spec, cfg.seed + 4, max_mode=2)
+    h_path = divergence_free_tensor(spec, args.seed + 4, max_mode=2)
     h_path = h_path * (0.005 * norm_gamma / ebin_norm(gamma, h_path))
-    x_path = random_vector_field(spec, cfg.seed + 5, max_mode=2, amplitude=0.002)
+    x_path = random_vector_field(spec, args.seed + 5, max_mode=2, amplitude=0.002)
     n_steps = 5
     for k in range(n_steps + 1):
         t = k / n_steps
@@ -108,20 +92,20 @@ def cmd_gen_examples(cfg: RunConfig):
         write_field(out / f"path_{k:02d}.rgf", point, meta={"t": repr(t)})
 
     report = Report("gen-examples")
-    report.add("grid", cfg.grid).add("seed", cfg.seed).add("files", 11)
+    report.add("grid", args.grid).add("seed", args.seed).add("files", 11)
     return 0, report
 
 
-def cmd_project(cfg: RunConfig):
-    src = cfg.need_in()
-    gamma = _load(src, "gamma.rgf")
-    s = _load(src, "s.rgf")
-    split = berger_ebin_project(gamma, s, tol=cfg.tol_solver)
+def cmd_project(args: argparse.Namespace):
+    src = _need_in(args)
+    gamma = read_field(src / "gamma.rgf")
+    s = read_field(src / "s.rgf")
+    split = berger_ebin_project(gamma, s, tol=args.tol_solver)
     recon = lie_derivative_metric(gamma, split.x) + split.h - s
     recon_rel = ebin_norm(gamma, recon) / max(ebin_norm(gamma, s), 1e-300)
     div_rel = _divergence_defect(gamma, split.h) / max(_divergence_defect(gamma, s), 1e-300)
-    if cfg.out_dir is not None:
-        out = cfg.need_out()
+    if args.out_dir is not None:
+        out = _need_out(args)
         write_field(out / "x.rgf", split.x)
         write_field(out / "h.rgf", split.h)
     report = Report("project")
@@ -134,13 +118,13 @@ def cmd_project(cfg: RunConfig):
     return (0 if ok else 1), report
 
 
-def cmd_exp(cfg: RunConfig):
-    src = cfg.need_in()
-    gamma = _load(src, "gamma.rgf")
-    s = _load(src, "s.rgf")
+def cmd_exp(args: argparse.Namespace):
+    src = _need_in(args)
+    gamma = read_field(src / "gamma.rgf")
+    s = read_field(src / "s.rgf")
     path = ebin_exp(gamma, s, 1.0)
-    if cfg.out_dir is not None:
-        out = cfg.need_out()
+    if args.out_dir is not None:
+        out = _need_out(args)
         write_field(out / "endpoint.rgf", path.endpoint)
     report = Report("exp")
     report.add("steps", path.steps)
@@ -150,30 +134,30 @@ def cmd_exp(cfg: RunConfig):
     return 0, report
 
 
-def cmd_log(cfg: RunConfig):
-    src = cfg.need_in()
-    gamma = _load(src, "gamma.rgf")
-    g = _load(src, "g.rgf")
-    s = ebin_log(gamma, g, tol=cfg.tol_decompose)
+def cmd_log(args: argparse.Namespace):
+    src = _need_in(args)
+    gamma = read_field(src / "gamma.rgf")
+    g = read_field(src / "g.rgf")
+    s = ebin_log(gamma, g, tol=args.tol_decompose)
     mismatch = ebin_norm(gamma, _exp_endpoint(gamma, s.values).g - g.g)
     rel = mismatch / max(ebin_norm(gamma, g.g), 1e-300)
-    if cfg.out_dir is not None:
-        out = cfg.need_out()
+    if args.out_dir is not None:
+        out = _need_out(args)
         write_field(out / "s_log.rgf", s)
     report = Report("log")
     report.add("endpoint_mismatch_rel", rel)
-    ok = rel <= cfg.tol_decompose
+    ok = rel <= args.tol_decompose
     report.add("pass", ok)
     return (0 if ok else 1), report
 
 
-def cmd_decompose(cfg: RunConfig):
-    src = cfg.need_in()
-    gamma = _load(src, "gamma.rgf")
-    g = _load(src, "g.rgf")
-    dec = slice_decompose(gamma, g, tol=cfg.tol_decompose)
-    if cfg.out_dir is not None:
-        out = cfg.need_out()
+def cmd_decompose(args: argparse.Namespace):
+    src = _need_in(args)
+    gamma = read_field(src / "gamma.rgf")
+    g = read_field(src / "g.rgf")
+    dec = slice_decompose(gamma, g, tol=args.tol_decompose)
+    if args.out_dir is not None:
+        out = _need_out(args)
         write_field(out / "phi.rgf", dec.phi)
         write_field(out / "h.rgf", dec.h)
     report = Report("decompose")
@@ -181,13 +165,13 @@ def cmd_decompose(cfg: RunConfig):
     report.add("iterations", dec.iterations)
     report.add("h_norm_rel", ebin_norm(gamma, dec.h) / ebin_norm(gamma, gamma.g))
     report.add("h_divergence_defect", _divergence_defect(gamma, dec.h))
-    ok = dec.residual <= cfg.tol_decompose
+    ok = dec.residual <= args.tol_decompose
     report.add("pass", ok)
     return (0 if ok else 1), report
 
 
-def cmd_lift(cfg: RunConfig):
-    src = cfg.need_in()
+def cmd_lift(args: argparse.Namespace):
+    src = _need_in(args)
     entries = []
     for path_file in sorted(src.glob("path_*.rgf")):
         point, meta = read_field_meta(path_file)
@@ -196,7 +180,7 @@ def cmd_lift(cfg: RunConfig):
         raise FileNotFoundError(f"need at least two path_*.rgf files in {src}")
     path = MetricPath(tuple(t for t, _ in entries), tuple(p for _, p in entries))
 
-    lifted, gauges = horizontal_lift(path, tol=cfg.tol_decompose)
+    lifted, gauges = horizontal_lift(path, tol=args.tol_decompose)
     rows = []
     max_gap = 0.0
     max_defect = 0.0
@@ -214,8 +198,8 @@ def cmd_lift(cfg: RunConfig):
         rows.append((k, gap, defect))
         max_gap = max(max_gap, gap)
         max_defect = max(max_defect, defect)
-    if cfg.out_dir is not None:
-        out = cfg.need_out()
+    if args.out_dir is not None:
+        out = _need_out(args)
         for k, point in enumerate(lifted.points):
             write_field(out / f"lifted_{k:02d}.rgf", point, meta={"t": repr(lifted.times[k])})
             write_field(out / f"gauge_{k:02d}.rgf", gauges[k])
@@ -227,17 +211,17 @@ def cmd_lift(cfg: RunConfig):
     report.add_table("per_step", ("k", "gauge_consistency", "velocity_divergence"), rows)
     # the lift must track the path through its gauges and strip the orbit
     # content of the velocities down to the discretization floor
-    ok = max_gap <= 100.0 * cfg.tol_decompose and (
-        max_input_defect <= 10.0 * cfg.tol_decompose
+    ok = max_gap <= 100.0 * args.tol_decompose and (
+        max_input_defect <= 10.0 * args.tol_decompose
         or max_defect <= 1e-2 * max_input_defect
     )
     report.add("pass", ok)
     return (0 if ok else 1), report
 
 
-def cmd_isometries(cfg: RunConfig):
-    src = cfg.need_in()
-    gamma = _load(src, "gamma.rgf")
+def cmd_isometries(args: argparse.Namespace):
+    src = _need_in(args)
+    gamma = read_field(src / "gamma.rgf")
     found = isometry_candidates(gamma, tol=1e-8)
     by_flip = {"id": 0, "fx": 0, "fy": 0, "swap": 0}
     for iso in found:
@@ -256,14 +240,14 @@ def cmd_isometries(cfg: RunConfig):
     return 0, report
 
 
-def cmd_finite_demo(cfg: RunConfig):
+def cmd_finite_demo(args: argparse.Namespace):
     base = spd.SpdPoint(2.0, 0.0, 1.0)
     sl = spd.slice_at(base, 0.1)
     report = Report("finite-demo")
     tol = 1e-12
 
     # chart roundtrips on seeded tube samples
-    tube = spd.tube_quotient(sl, n_samples=1000, seed=cfg.seed, tol=tol)
+    tube = spd.tube_quotient(sl, n_samples=1000, seed=args.seed, tol=tol)
     report.add("tube_samples", tube.samples)
     report.add("tube_violations", len(tube.violations))
     report.add("max_welldef_error", tube.max_welldef_error)
@@ -281,11 +265,11 @@ def cmd_finite_demo(cfg: RunConfig):
     # slice property (ii): every other rotation moves every slice point off the slice
     min_escape = math.inf
     pt = sl.point(0.05, -0.03)
+    isotropy = spd.isotropy_of(pt)
     for theta in angles:
-        if min(abs(theta), abs(theta - math.pi), abs(theta - 2 * math.pi)) < 1e-9:
-            continue
-        moved = spd.act(spd.Rot(theta), pt)
-        min_escape = min(min_escape, sl.distance(moved))
+        r = spd.Rot(theta)
+        if r not in isotropy:
+            min_escape = min(min_escape, sl.distance(spd.act(r, pt)))
     report.add("min_escape_distance", min_escape)
 
     # invariant metric under conjugation
@@ -308,7 +292,7 @@ def cmd_finite_demo(cfg: RunConfig):
     return (0 if ok else 1), report
 
 
-def cmd_convergence(cfg: RunConfig):
+def cmd_convergence(args: argparse.Namespace):
     resolutions = (16, 32, 64)
     adj = [conv.adjointness_defect(n) for n in resolutions]
     equi = [conv.equivariance_defect(n) for n in resolutions]
@@ -369,24 +353,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            grid=args.grid,
-            seed=args.seed,
-            tol_solver=args.tol_solver,
-            tol_decompose=args.tol_decompose,
-            in_dir=args.in_dir,
-            out_dir=args.out_dir,
-            report_path=args.report_path,
-        )
-        code, report = args.func(cfg)
-    except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError, ValueError) as e:
+        _check_flags(args)
+        code, report = args.func(args)
+    except (
+        FormatError, ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError
+    ) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except RiemgridError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if cfg.report_path is not None:
-        write_report(cfg.report_path, report)
+    if args.report_path is not None:
+        write_report(args.report_path, report)
     sys.stdout.write(report.render())
     return code
 

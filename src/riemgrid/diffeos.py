@@ -131,6 +131,8 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
     """phi o psi, sampled at cell centers; the inverse is recomputed, not composed."""
     if phi.spec != psi.spec:
         raise ValueError("cannot compose maps on different grids")
+    # the spline returns a constant only to roundoff, so without this shortcut a
+    # composed lattice translation would not stay an exact sample permutation
     cu, cv = _constants(phi.u.values), _constants(psi.u.values)
     if cu is not None and cv is not None:
         return translation(phi.spec, cu + cv)

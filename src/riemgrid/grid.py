@@ -1,10 +1,11 @@
 """Cell-centered periodic grids on the unit 2-torus [0,1)^2.
 
 Samples live at cell centers ((i+1/2)h, (j+1/2)h) with h = 1/n, axis 0 = x,
-axis 1 = y.  Interpolation is a periodic interpolating cubic spline (exact at
-the nodes, exact on constants), differentiation is the 4th-order central
-stencil with wraparound, and quadrature is the midpoint rule, which is
-spectrally accurate for smooth periodic integrands.
+axis 1 = y.  Interpolation is a periodic interpolating cubic spline (it
+reproduces the samples at the nodes, and constant fields everywhere, to
+roundoff), differentiation is the 4th-order central stencil with wraparound,
+and quadrature is the midpoint rule, which is spectrally accurate for smooth
+periodic integrands.
 
 The spline is the cubic B-spline series whose values at the nodes are the
 samples.  Its coefficients come from one FFT of the whole stack: sampling the

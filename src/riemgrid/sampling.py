@@ -19,7 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, SymTensorField, VectorField, stencil_gradient
+from .grid import (
+    GridSpec,
+    MetricField,
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    constant_field,
+    stencil_gradient,
+)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -142,8 +150,6 @@ def random_sym_tensor(
 
 def random_metric_near_identity(spec: GridSpec, seed: int, amplitude: float, max_mode: int = 4):
     """Identity metric plus a seeded symmetric perturbation of given max-abs size."""
-    from .grid import MetricField, constant_field
-
     pert = random_sym_tensor(spec, seed, max_mode, amplitude)
     return MetricField(constant_field(spec, np.eye(2)) + pert)
 

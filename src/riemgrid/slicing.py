@@ -331,7 +331,7 @@ def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> S
             break  # no damped step decreases enough: stalled at the attainable floor
 
     if residual <= tol:
-        return SliceDecomposition(phi, SymTensorField(spec, hs), residual, _MAX_ITER)
+        return SliceDecomposition(phi, SymTensorField(spec, hs), residual, it)
     raise NoConvergence(
         f"slice decomposition stalled at residual {residual:.3e} (tol {tol:.1e})"
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideTube, PositivityLoss, RadiusTooLarge, ScalarPoint
+from .sampling import DrawStream
 
 _TWO_PI = 2.0 * math.pi
 
@@ -244,8 +245,6 @@ def tube_quotient(
     samples are seeded.  Surjectivity is checked by inverting tube points
     through chart_F_inverse.
     """
-    from .sampling import DrawStream
-
     stream = DrawStream(seed)
     violations = []
     max_welldef = 0.0

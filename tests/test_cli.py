@@ -81,12 +81,6 @@ def test_convergence_subcommand():
     assert main(["convergence"]) == 0
 
 
-def test_usage_error_missing_inputs(tmp_path):
-    empty = tmp_path / "nothing"
-    empty.mkdir()
-    assert main(["--in", str(empty), "project"]) == 2
-
-
 def test_usage_error_bad_flags():
     assert main(["--grid", "2", "finite-demo"]) == 2
     assert main(["--tol-decompose", "-1", "finite-demo"]) == 2
@@ -98,6 +92,32 @@ def test_usage_error_bad_flags():
         with pytest.raises(SystemExit) as exit_info:
             main([removed, "0.1", "finite-demo"])
         assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, fragments",
+    [
+        (["gen-examples"], ["requires --out"]),
+        (["project"], ["requires --in"]),
+        (["--in", "{empty}", "project"], ["FileNotFoundError", "gamma.rgf"]),
+        (["--in", "{file}", "project"], ["gamma.rgf"]),
+        (["--grid", "2", "finite-demo"], ["at least 4"]),
+        (["--tol-solver", "nan", "finite-demo"], ["positive and finite"]),
+        (["--seed", "-3", "finite-demo"], ["unsigned 64-bit"]),
+    ],
+    ids=["no-out", "no-in", "missing-file", "in-is-a-file", "grid", "tol-solver", "seed"],
+)
+def test_usage_error_prints_one_error_line(tmp_path, capsys, argv, fragments):
+    empty, file = tmp_path / "empty", tmp_path / "file"
+    empty.mkdir()
+    file.touch()
+    assert main([arg.format(empty=empty, file=file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
 
 
 def test_numerical_error_exit_code(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from riemgrid import slicing
 from riemgrid.calculus import divergence, lie_derivative_metric, sharp, vector_inner
 from riemgrid.diffeos import flow_exp, pullback, translation
-from riemgrid.errors import NoConvergence, SolverStall
+from riemgrid.errors import NoConvergence, SolverStall, StepFailure
 from riemgrid.geodesics import _sym_norm, ebin_exp, ebin_inner, ebin_log, ebin_norm, relative_distance
 from riemgrid.grid import (
     GridSpec,
@@ -453,6 +453,27 @@ def test_decompose_around_a_moved_flat_base_keeps_its_error_contract():
     except NoConvergence:
         return
     assert dec.residual <= 1e-6
+
+
+def test_decompose_stalled_after_one_iteration_reports_one(monkeypatch):
+    # the first miss is within tol but the pending gauge (1.6087e-2) is not;
+    # with every trial flow failing, all 8 damped steps are refused and the
+    # loop breaks in its first iteration, after which the miss still passes
+    spec = GridSpec(16)
+    base = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 9, amplitude=0.05))
+    target = pullback(flow_exp(random_vector_field(spec, 1, amplitude=0.002, max_mode=2), 1.0), base)
+    tol = ebin_norm(base, target.g - base.g) / ebin_norm(base, target.g)
+    trials = []
+
+    def failing_flow(x, t):
+        trials.append(t)
+        raise StepFailure("trial flow refused")
+
+    monkeypatch.setattr(slicing, "flow_exp", failing_flow)
+    dec = slice_decompose(base, target, tol=tol)
+    assert len(trials) == 8
+    assert dec.residual == tol
+    assert dec.iterations == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene: every name a library module imports is used in it, and
+every import sits at the top of its module.
 
 No linter runs in CI; this catches the imports that deletions leave behind.
-The package __init__ is skipped, as its imports are the public re-exports.
+The package __init__ is skipped by the unused-name check, as its imports are
+the public re-exports.
 """
 
 import ast
@@ -36,3 +38,25 @@ def test_unused_imports_finds_only_unread_names():
 )
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list:
+    """Line numbers of the import statements inside the functions of source."""
+    tree = ast.parse(source)
+    return sorted({
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_function_imports_finds_nested_imports():
+    source = "import os\ndef f():\n    import sys\n    def g():\n        from a import b\nclass C:\n    def m(self):\n        import re\n"
+    assert function_imports(source) == [3, 5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_at_top_level(path):
+    assert function_imports(path.read_text()) == []
