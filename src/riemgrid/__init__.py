@@ -10,9 +10,7 @@ mirrors the same constructions exactly in three dimensions.
 """
 
 from .calculus import (
-    ChristoffelField,
     OneFormField,
-    christoffels,
     divergence,
     flat,
     form_vector_pairing,
@@ -71,8 +69,6 @@ from .grid import (
     integrate,
     interpolate,
     partial_derivative,
-    zero_tensor,
-    zero_vector,
 )
 from .sampling import (
     DrawStream,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import (
-    _SYM,
     MetricField,
     ScalarField,
     SymTensorField,
@@ -46,26 +45,6 @@ class OneFormField(_Field):
     w2 = _component(1)
 
 
-# stored order of the six symbols c^k_ij with i <= j, as (k, i, j) index arrays
-_CHRIS_STORED = ([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1], [0, 1, 1, 0, 1, 1])
-
-
-class ChristoffelField(_Field):
-    """Levi-Civita symbols of a metric; six fields c^k_ij, symmetric in (i, j)."""
-
-    _k = 6
-    c111 = _component(0)
-    c112 = _component(1)
-    c122 = _component(2)
-    c211 = _component(3)
-    c212 = _component(4)
-    c222 = _component(5)
-
-    def as_array(self) -> np.ndarray:
-        """Dense [k][i][j] layout, shape (2, 2, 2, n, n)."""
-        return self.values[np.array([_SYM, _SYM + 3])]
-
-
 def metric_inverse(g: MetricField) -> SymTensorField:
     """Pointwise 2x2 inverse of the metric."""
     return SymTensorField._wrap(g.spec, g._inverse)
@@ -74,15 +53,6 @@ def metric_inverse(g: MetricField) -> SymTensorField:
 def volume_density(g: MetricField) -> ScalarField:
     """sqrt(det g) at every cell."""
     return ScalarField._wrap(g.spec, g._volume)
-
-
-def christoffels(g: MetricField) -> ChristoffelField:
-    """Levi-Civita symbols c^k_ij = (1/2) g^{kl} (D_i g_lj + D_j g_li - D_l g_ij)."""
-    dg = g._gradients
-    # (D_i g_lj + D_j g_li - D_l g_ij) at [l, i, j]
-    t = np.einsum("ilj...->lij...", dg) + np.einsum("jli...->lij...", dg) - dg
-    gamma = 0.5 * np.einsum("kl...,lij...->kij...", g._inverse[_SYM], t)
-    return ChristoffelField(g.spec, gamma[_CHRIS_STORED])
 
 
 def lie_derivative_metric(g: MetricField, x: VectorField) -> SymTensorField:

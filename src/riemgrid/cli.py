@@ -247,7 +247,7 @@ def cmd_finite_demo(args: argparse.Namespace):
     tol = 1e-12
 
     # chart roundtrips on seeded tube samples
-    tube = spd.tube_quotient(sl, n_samples=1000, seed=args.seed, tol=tol)
+    tube = spd.tube_quotient(sl, seed=args.seed)
     report.add("tube_samples", tube.samples)
     report.add("tube_violations", len(tube.violations))
     report.add("max_welldef_error", tube.max_welldef_error)
@@ -355,16 +355,17 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         code, report = args.func(args)
+        if args.report_path is not None:
+            write_report(args.report_path, report)
     except (
-        FormatError, ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError
+        FormatError, ValidationError, FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+        ValueError,
     ) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except RiemgridError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if args.report_path is not None:
-        write_report(args.report_path, report)
     sys.stdout.write(report.render())
     return code
 

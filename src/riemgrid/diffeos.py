@@ -62,10 +62,6 @@ class DiffeoGrid:
     v: VectorField
     inverse_residual: float
 
-    def lattice_shift(self) -> tuple[int, int] | None:
-        """Cell shift (k1, k2) if this map is exactly a lattice translation."""
-        return _lattice_shift(self.spec, self.u.values)
-
     def points(self) -> np.ndarray:
         """Forward images of the cell centers, shape (2, n, n), not reduced mod 1."""
         x, y = self.spec.cell_centers()
@@ -206,7 +202,7 @@ def pullback(phi: DiffeoGrid, field):
         return MetricField(pullback(phi, field.g))
     spec = phi.spec
 
-    shift = phi.lattice_shift()
+    shift = _lattice_shift(spec, phi.u.values)
     if shift is not None:
         return type(field)(spec, np.roll(field.values, shift, axis=(-2, -1)))
 

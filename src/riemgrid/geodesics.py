@@ -90,10 +90,6 @@ class GeodesicPath:
     def endpoint(self) -> MetricField:
         return self.samples[-1].point
 
-    @property
-    def endpoint_velocity(self) -> SymTensorField:
-        return self.samples[-1].velocity
-
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
     """sinh(x) / x, by its Taylor series near 0 (error below 1e-22 there)."""

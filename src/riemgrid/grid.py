@@ -357,18 +357,6 @@ class MetricField:
     def spec(self) -> GridSpec:
         return self.g.spec
 
-    @property
-    def g11(self) -> ScalarField:
-        return self.g.s11
-
-    @property
-    def g12(self) -> ScalarField:
-        return self.g.s12
-
-    @property
-    def g22(self) -> ScalarField:
-        return self.g.s22
-
     def as_stack(self) -> np.ndarray:
         return self.g.values
 
@@ -422,10 +410,3 @@ def constant_metric(spec: GridSpec, m) -> MetricField:
 def identity_metric(spec: GridSpec) -> MetricField:
     return constant_metric(spec, np.eye(2))
 
-
-def zero_tensor(spec: GridSpec) -> SymTensorField:
-    return constant_field(spec, np.zeros((2, 2)))
-
-
-def zero_vector(spec: GridSpec) -> VectorField:
-    return constant_vector(spec, (0.0, 0.0))

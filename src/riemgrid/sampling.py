@@ -148,9 +148,9 @@ def random_sym_tensor(
     return SymTensorField.from_arrays(spec, *(_band_limited(spec, stream, max_mode, amplitude) for _ in range(3)))
 
 
-def random_metric_near_identity(spec: GridSpec, seed: int, amplitude: float, max_mode: int = 4):
+def random_metric_near_identity(spec: GridSpec, seed: int, amplitude: float):
     """Identity metric plus a seeded symmetric perturbation of given max-abs size."""
-    pert = random_sym_tensor(spec, seed, max_mode, amplitude)
+    pert = random_sym_tensor(spec, seed, amplitude=amplitude)
     return MetricField(constant_field(spec, np.eye(2)) + pert)
 
 

@@ -400,9 +400,6 @@ class LatticeIsometry:
     def matrix(self) -> np.ndarray:
         return _FLIP_MATRICES[self.flip]
 
-    def is_identity(self) -> bool:
-        return self.flip == "id" and self.shift == (0, 0)
-
     def map_points(self, n: int, px: np.ndarray, py: np.ndarray):
         a = self.matrix
         bx, by = self.shift[0] / n, self.shift[1] / n
@@ -549,19 +546,23 @@ def _torus_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(_half_wrap(a - b))))
 
 
-def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6):
+# the largest map-space deviation at which a conjugated candidate matches
+_CONJUGATION_TOL = 1e-6
+
+
+def conjugate_isometries(g_base: MetricField, g: MetricField):
     """Carry the candidate isometries of g back to those of g_base.
 
     f is the gauge factor of the slice decomposition of g; for each candidate
     isometry i of g the sampled map f^{-1} o i o f is matched against the
     candidate isometries of the base.  The report states whether every
-    conjugated candidate lands on a base candidate within tol; the inner
-    decomposition runs tighter than tol because map-space accuracy of f sits
-    about two decades above the metric-space residual.
+    conjugated candidate lands on a base candidate within _CONJUGATION_TOL;
+    the inner decomposition runs two decades tighter because map-space
+    accuracy of f sits about two decades above the metric-space residual.
     """
     spec = g_base.spec
     n = spec.n
-    dec = slice_decompose(g_base, g, tol=min(1e-2 * tol, 1e-6))
+    dec = slice_decompose(g_base, g, tol=1e-2 * _CONJUGATION_TOL)
     f = dec.phi
     iso_g = isometry_candidates(g)
     iso_base = isometry_candidates(g_base)
@@ -589,12 +590,12 @@ def conjugate_isometries(g_base: MetricField, g: MetricField, tol: float = 1e-6)
         r = r[:, :1, :1] + _half_wrap(r - r[:, :1, :1])
         guess = LatticeIsometry(iota.flip, tuple(int(b) % n for b in np.round(np.mean(r, axis=(1, 2)) * n)))
         scored = [(deviation(guess), guess)] if guess in base_set else []
-        if not scored or scored[0][0] > tol:
+        if not scored or scored[0][0] > _CONJUGATION_TOL:
             scored += [(deviation(kappa), kappa) for kappa in iso_base]
         # the first of equal deviations wins
         best_dev, best = min(scored, key=lambda e: e[0], default=(math.inf, None))
         entries.append(ConjugationEntry(iota, best, best_dev))
         worst = max(worst, best_dev)
 
-    holds = all(e.matched is not None and e.deviation <= tol for e in entries)
+    holds = all(e.matched is not None and e.deviation <= _CONJUGATION_TOL for e in entries)
     return f, ConjugationReport(tuple(entries), holds, worst)

@@ -24,6 +24,9 @@ from .errors import OutsideTube, PositivityLoss, RadiusTooLarge, ScalarPoint
 from .sampling import DrawStream
 
 _TWO_PI = 2.0 * math.pi
+# seeded classes sampled by tube_quotient, and the roundoff bound each check meets
+_TUBE_SAMPLES = 1000
+_TUBE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,9 +239,7 @@ class TubeReport:
         return not self.violations
 
 
-def tube_quotient(
-    slice_: FiniteSlice, n_samples: int = 1000, seed: int = 0, tol: float = 1e-12
-) -> TubeReport:
+def tube_quotient(slice_: FiniteSlice, seed: int) -> TubeReport:
     """Verify that [R, s] -> act(R, s) is well-defined, injective, and onto the tube.
 
     Classes are pairs (R(theta), s) modulo (R(theta + pi), act(R(pi))^{-1} . s);
@@ -259,13 +260,13 @@ def tube_quotient(
         return theta, s
 
     pairs = []
-    for k in range(n_samples):
+    for k in range(_TUBE_SAMPLES):
         theta, s = sample_class()
         image = act(Rot(theta), s)
         partner = act(Rot(theta + math.pi), act(Rot(math.pi).inverse(), s))
         err = image.frobenius_distance(partner)
         max_welldef = max(max_welldef, err)
-        if err > tol:
+        if err > _TUBE_TOL:
             violations.append(f"well-definedness violated at sample {k}: {err:.3e}")
         pairs.append((theta, s, image))
 
@@ -273,7 +274,7 @@ def tube_quotient(
         theta_rec, s_rec = chart_F_inverse(image, slice_)
         round_err = chart_F(theta_rec, s_rec).frobenius_distance(image)
         max_roundtrip = max(max_roundtrip, round_err)
-        if round_err > tol:
+        if round_err > _TUBE_TOL:
             violations.append(f"chart roundtrip violated at sample {k}: {round_err:.3e}")
 
     def class_gap(p, q) -> float:
@@ -291,35 +292,8 @@ def tube_quotient(
         img_gap = p[2].frobenius_distance(q[2])
         if gap > 1e-9:
             min_sep = min(min_sep, img_gap)
-            if img_gap <= tol:
+            if img_gap <= _TUBE_TOL:
                 violations.append(f"injectivity violated for sample pair {k}: classes {gap:.3e} apart")
 
-    return TubeReport(n_samples, tuple(violations), max_welldef, max_roundtrip, min_sep)
+    return TubeReport(_TUBE_SAMPLES, tuple(violations), max_welldef, max_roundtrip, min_sep)
 
-
-def convergent_subsequence(rotations) -> tuple:
-    """Indices of a convergent subsequence of rotations (compactness probe).
-
-    Bisects the circle, always descending into a half that still holds at
-    least half of the remaining tail, and emits one index per level.
-    """
-    items = [(i, r.theta) for i, r in enumerate(rotations)]
-    if not items:
-        return (), None
-    lo, hi = 0.0, _TWO_PI
-    chosen = []
-    pool = items
-    while len(pool) > 1 and hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        left = [(i, t) for i, t in pool if lo <= t < mid]
-        right = [(i, t) for i, t in pool if mid <= t < hi]
-        pool2 = left if len(left) >= len(right) else right
-        lo, hi = (lo, mid) if pool2 is left else (mid, hi)
-        after = chosen[-1] if chosen else -1
-        nxt = next((i for i, _ in pool2 if i > after), None)
-        if nxt is None:
-            break
-        chosen.append(nxt)
-        pool = [(i, t) for i, t in pool2 if i > nxt]
-    limit = Rot(0.5 * (lo + hi))
-    return tuple(chosen), limit

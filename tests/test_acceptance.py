@@ -29,6 +29,7 @@ from riemgrid.grid import (
 )
 from riemgrid.sampling import divergence_free_tensor, random_sym_tensor, random_vector_field
 from riemgrid.slicing import (
+    LatticeIsometry,
     berger_ebin_project,
     candidate_family,
     conjugate_isometries,
@@ -232,7 +233,7 @@ def test_criterion_7_finite_dimensional_oracle():
             worst = max(worst, abs(theta_rec - theta), s_rec.frobenius_distance(s))
             fixed = act(Rot(math.pi), s)
             worst = max(worst, fixed.frobenius_distance(s))
-        tube = tube_quotient(sl, n_samples=1000, seed=99)
+        tube = tube_quotient(sl, seed=99)
         c.note(f"worst roundtrip {worst:.1e}; tube violations {len(tube.violations)}")
         assert worst <= 1e-12
         assert tube.passed
@@ -254,11 +255,11 @@ def test_criterion_8_consequences():
             h0 = divergence_free_tensor(spec, 1100 + k, amplitude=1.0)
             h0 = h0 * (0.04 * norm_gamma / ebin_norm(gamma, h0))
             g = ebin_exp(gamma, h0, 1.0, tol=1e-10).endpoint
-            _, report = conjugate_isometries(gamma, g, tol=1e-6)
+            _, report = conjugate_isometries(gamma, g)
             holds.append(report.inclusion_holds)
         x_tiled = random_vector_field(spec, 1200, amplitude=0.004, max_mode=1, period_cells=16)
         g = pullback(flow_exp(x_tiled, 1.0), gamma)
-        _, report = conjugate_isometries(gamma, g, tol=1e-6)
+        _, report = conjugate_isometries(gamma, g)
         holds.append(report.inclusion_holds)
         nontrivial = len(report.entries)
         c.note(f"inclusion holds {sum(holds)}/5 (last family size {nontrivial})")
@@ -272,7 +273,7 @@ def test_criterion_8_consequences():
             pert = random_sym_tensor(spec16, 1300 + k, amplitude=0.05)
             g16 = MetricField(constant_field(spec16, np.eye(2)) + pert)
             found = isometry_candidates(g16, tol=1e-8)
-            only_identity = only_identity and len(found) == 1 and found[0].is_identity()
+            only_identity = only_identity and len(found) == 1 and found[0] == LatticeIsometry("id", (0, 0))
         c.note(f"trivial symmetry set {only_identity}")
         assert only_identity
 

@@ -104,8 +104,14 @@ def test_usage_error_bad_flags():
         (["--grid", "2", "finite-demo"], ["at least 4"]),
         (["--tol-solver", "nan", "finite-demo"], ["positive and finite"]),
         (["--seed", "-3", "finite-demo"], ["unsigned 64-bit"]),
+        (["--out", "{file}", "gen-examples"], ["FileExistsError"]),
+        (["--report", "{empty}", "finite-demo"], ["IsADirectoryError"]),
+        (["--report", "{empty}/missing/r.txt", "finite-demo"], ["FileNotFoundError", "r.txt"]),
     ],
-    ids=["no-out", "no-in", "missing-file", "in-is-a-file", "grid", "tol-solver", "seed"],
+    ids=[
+        "no-out", "no-in", "missing-file", "in-is-a-file", "grid", "tol-solver", "seed", "out-is-a-file",
+        "report-is-a-dir", "report-dir-missing",
+    ],
 )
 def test_usage_error_prints_one_error_line(tmp_path, capsys, argv, fragments):
     empty, file = tmp_path / "empty", tmp_path / "file"

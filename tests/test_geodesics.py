@@ -26,7 +26,6 @@ from riemgrid.grid import (
     constant_metric,
     identity_metric,
     integrate,
-    zero_tensor,
 )
 from riemgrid.sampling import random_sym_tensor
 
@@ -58,7 +57,7 @@ def test_inner_scaled_metric_quadrature_oracle():
 
 def test_inner_zero_argument():
     s = random_sym_tensor(SPEC, 3, amplitude=0.5)
-    assert ebin_inner(GAMMA, s, zero_tensor(SPEC)) == 0.0
+    assert ebin_inner(GAMMA, s, constant_field(SPEC, np.zeros((2, 2)))) == 0.0
 
 
 def test_inner_positive_definite():
@@ -93,7 +92,7 @@ def test_inner_invariant_under_lattice_translation():
 
 
 def test_exp_zero_velocity_constant_path():
-    path = ebin_exp(GAMMA, zero_tensor(SPEC), 1.0)
+    path = ebin_exp(GAMMA, constant_field(SPEC, np.zeros((2, 2))), 1.0)
     assert path.steps == 0
     assert np.array_equal(path.endpoint.as_stack(), GAMMA.as_stack())
     assert path.samples[0].t == 0.0 and path.samples[-1].t == 1.0
@@ -102,7 +101,7 @@ def test_exp_zero_velocity_constant_path():
 @pytest.mark.parametrize("curved", [False, True])
 def test_exp_endpoint_is_the_path_endpoint_bitwise(curved):
     g = MetricField(GAMMA.g + random_sym_tensor(SPEC, 11, amplitude=0.1)) if curved else GAMMA
-    for s in (random_sym_tensor(SPEC, 12, amplitude=0.2), zero_tensor(SPEC)):
+    for s in (random_sym_tensor(SPEC, 12, amplitude=0.2), constant_field(SPEC, np.zeros((2, 2)))):
         end = _exp_endpoint(g, s.values).as_stack()
         assert end.tobytes() == ebin_exp(g, s, 1.0).endpoint.as_stack().tobytes()
 
@@ -184,7 +183,7 @@ def test_exp_matches_rk4_oracle(amplitude):
     path = ebin_exp(g, s, 1.0, tol=1e-10)
     end, vel = _rk4_oracle(g.as_stack(), s.as_stack(), 1.0, 400)
     assert np.max(np.abs(path.endpoint.as_stack() - end)) <= 1e-10
-    assert np.max(np.abs(path.endpoint_velocity.as_stack() - vel)) <= 1e-10
+    assert np.max(np.abs(path.samples[-1].velocity.as_stack() - vel)) <= 1e-10
 
 
 def test_exp_conformal_branch_is_continuous():

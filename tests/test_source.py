@@ -1,9 +1,10 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every import sits at the top of its module.
+"""Source hygiene: every name a library module imports is used in it, every
+import sits at the top of its module, and every public definition is
+exported or used.
 
-No linter runs in CI; this catches the imports that deletions leave behind.
-The package __init__ is skipped by the unused-name check, as its imports are
-the public re-exports.
+No linter runs in CI; this catches the imports that deletions leave behind,
+and the operations that only tests still call.  The package __init__ is
+skipped by the unused-name check, as its imports are the public re-exports.
 """
 
 import ast
@@ -60,3 +61,38 @@ def test_function_imports_finds_nested_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_at_top_level(path):
     assert function_imports(path.read_text()) == []
+
+
+def unreachable_definitions(sources: dict, exported: set) -> list:
+    """module.name of each public top-level function or class in sources (module -> text)
+    that is not in exported and that no other top-level statement names."""
+    statements = []  # (module, name defined or None, names read)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            defined = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((module, defined, read))
+    return sorted(
+        f"{module}.{name}"
+        for module, name, _ in statements
+        if name is not None and not name.startswith("_") and name not in exported
+        and not any(name in read for m, d, read in statements if (m, d) != (module, name))
+    )
+
+
+def test_unreachable_definitions_finds_only_unnamed_ones():
+    sources = {
+        "a": "def f():\n    return g()\ndef g():\n    return g()\ndef h():\n    return h()\nclass C:\n    pass\n",
+        "b": "def k(x):\n    return x.C\ndef _p():\n    pass\n",
+    }
+    assert unreachable_definitions(sources, {"k"}) == ["a.f", "a.h"]
+
+
+def test_every_public_definition_is_exported_or_used():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert unreachable_definitions(sources, exported) == []

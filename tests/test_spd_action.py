@@ -14,7 +14,6 @@ from riemgrid.spd_action import (
     act,
     chart_F,
     chart_F_inverse,
-    convergent_subsequence,
     isotropy_of,
     orbit_map,
     slice_at,
@@ -250,7 +249,7 @@ def test_tube_well_definedness_exact():
 
 def test_tube_quotient_report_passes():
     sl = slice_at(BASE, 0.1)
-    report = tube_quotient(sl, n_samples=1000, seed=77)
+    report = tube_quotient(sl, seed=77)
     assert report.passed
     assert report.samples == 1000
     assert report.max_welldef_error <= 1e-12
@@ -265,14 +264,3 @@ def test_invariant_frobenius_metric():
         r = Rot(theta)
         assert abs(act(r, a).frobenius_distance(act(r, b)) - a.frobenius_distance(b)) <= 1e-14
 
-
-def test_convergent_subsequence_probe():
-    stream = DrawStream(31)
-    rotations = [Rot(stream.next_unit() * 2 * math.pi) for _ in range(4000)]
-    indices, limit = convergent_subsequence(rotations)
-    assert len(indices) >= 8
-    assert all(indices[k] < indices[k + 1] for k in range(len(indices) - 1))
-    # each level halves the window around the limit angle
-    tail = [rotations[i].theta for i in indices[-2:]]
-    assert abs(tail[1] - tail[0]) <= 2.0 * math.pi / 2 ** (len(indices) - 2)
-    assert abs(tail[-1] - limit.theta) <= 2.0 * math.pi / 2 ** (len(indices) - 1)
