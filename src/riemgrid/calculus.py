@@ -30,7 +30,6 @@ from .grid import (
     SymTensorField,
     VectorField,
     _cell_sum,
-    _component,
     _Field,
     stencil_derivative,
     stencil_gradient,
@@ -41,8 +40,6 @@ class OneFormField(_Field):
     """Covariant components (w1, w2) of a 1-form field."""
 
     _k = 2
-    w1 = _component(0)
-    w2 = _component(1)
 
 
 def metric_inverse(g: MetricField) -> SymTensorField:

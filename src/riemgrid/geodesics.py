@@ -74,14 +74,12 @@ class GeodesicSample:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Geodesic from (base, velocity), sampled at equally spaced times.
+    """Geodesic sampled at equally spaced times; samples[0] holds its start (base, velocity).
 
     steps counts the time steps evaluated after t = 0: one per later sample of
     the closed form, none for a constant path.
     """
 
-    base: MetricField
-    velocity: SymTensorField
     samples: tuple
     steps: int
     speed_drift: float
@@ -146,7 +144,7 @@ def ebin_exp(g: MetricField, s: SymTensorField, t_end: float = 1.0, tol: float =
     """
     spec = g.spec
     if t_end == 0.0 or not np.any(s.values):
-        return GeodesicPath(g, s, (GeodesicSample(0.0, g, s), GeodesicSample(t_end, g, s)), 0, 0.0)
+        return GeodesicPath((GeodesicSample(0.0, g, s), GeodesicSample(t_end, g, s)), 0, 0.0)
     times = np.linspace(0.0, t_end, _SAMPLES)
     points, velocities = _geodesic(g, s.values, times[:, None, None], velocity=True)
     samples = [GeodesicSample(0.0, g, s)]
@@ -160,7 +158,7 @@ def ebin_exp(g: MetricField, s: SymTensorField, t_end: float = 1.0, tol: float =
         drift = max(abs(ebin_inner(x.point, x.velocity, x.velocity) - speed0) for x in samples) / speed0
     if drift > tol:
         raise ToleranceNotMet(f"sigma-speed drift {drift:.3e} exceeds tol {tol:.3e}")
-    return GeodesicPath(g, s, tuple(samples), _SAMPLES - 1, drift)
+    return GeodesicPath(tuple(samples), _SAMPLES - 1, drift)
 
 
 def _exp_endpoint(g: MetricField, s: np.ndarray) -> MetricField:

@@ -25,10 +25,9 @@ A field stores its samples as one read-only float64 array: (n, n) for a
 scalar, (k, n, n) for a field with k components, in the order the component
 names list them (v1 v2, s11 s12 s22, ...).  The array is validated and copied
 once, at construction, so field values are immutable and shared freely;
-as_stack() returns it and each named component is a cached ScalarField view
-of one slice.  The stencils act on whole stacks: x and y are the last two
-array axes, so one call differentiates every component of a field.  Every
-public operation here is a pure function.
+as_stack() returns it, and component k is values[k].  The stencils act on
+whole stacks: x and y are the last two array axes, so one call differentiates
+every component of a field.  Every public operation here is a pure function.
 
 Derived data (a field's spline coefficients; a metric's inverse, volume
 density and gradients) is a cached_property of the object it derives from:
@@ -140,11 +139,6 @@ class _Field:
 
 class ScalarField(_Field):
     """n x n real samples at cell centers."""
-
-
-def _component(index: int) -> cached_property:
-    """One stored component as a cached ScalarField view of one slice of the field's array."""
-    return cached_property(lambda field: ScalarField._wrap(field.spec, field.values[index]))
 
 
 def _locate(n: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +286,6 @@ class VectorField(_Field):
     """Contravariant components (v1, v2) of a tangent vector field."""
 
     _k = 2
-    v1 = _component(0)
-    v2 = _component(1)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -303,9 +295,6 @@ class SymTensorField(_Field):
     """Covariant symmetric 2-tensor with stored components s11, s12, s22."""
 
     _k = 3
-    s11 = _component(0)
-    s12 = _component(1)
-    s22 = _component(2)
 
 
 def _det(stack: np.ndarray) -> np.ndarray:

@@ -88,7 +88,8 @@ def _fourier_solver(n: int, g11: float, g12: float, g22: float):
 
     def symbol(theta: np.ndarray) -> np.ndarray:
         d = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) * (n / 6.0)
-        d[np.abs(d) <= 1e-12 * np.max(np.abs(d))] = 0.0  # sin(pi) is not 0 in floating point
+        # exactly 0 at theta = 0, and at pi (index n // 2) for even n: sin(pi) is not 0 in floating point
+        d[[0, n // 2] if n % 2 == 0 else [0]] = 0.0
         return d
 
     d1 = symbol(2.0 * np.pi * np.fft.fftfreq(n))[:, None]
@@ -537,13 +538,9 @@ class ConjugationReport:
     max_deviation: float
 
 
-def _half_wrap(d: np.ndarray) -> np.ndarray:
-    """d moved by whole torus lengths into [-1/2, 1/2)."""
-    return (d + 0.5) % 1.0 - 0.5
-
-
 def _torus_gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(_half_wrap(a - b))))
+    """max |a - b| with each difference moved by whole torus lengths into [-1/2, 1/2)."""
+    return float(np.max(np.abs((a - b + 0.5) % 1.0 - 0.5)))
 
 
 # the largest map-space deviation at which a conjugated candidate matches
@@ -554,48 +551,38 @@ def conjugate_isometries(g_base: MetricField, g: MetricField):
     """Carry the candidate isometries of g back to those of g_base.
 
     f is the gauge factor of the slice decomposition of g; for each candidate
-    isometry i of g the sampled map f^{-1} o i o f is matched against the
-    candidate isometries of the base.  The report states whether every
-    conjugated candidate lands on a base candidate within _CONJUGATION_TOL;
-    the inner decomposition runs two decades tighter because map-space
-    accuracy of f sits about two decades above the metric-space residual.
+    isometry i of g the sampled map f^{-1} o i o f is compared with one
+    lattice candidate k: the flip of i, and the shift the map reads at cell 0.
+    No other candidate can match: two distinct lattice candidates differ by
+    at least 1/n at some cell centre, so a map within _CONJUGATION_TOL of one
+    is far from every other, and f, a near-identity gauge, keeps the flip.
+    deviation is the largest torus gap between the map and k over the cell
+    centres; matched is k when k is a candidate isometry of the base, else
+    None.  The report states whether every conjugated candidate lands on a
+    base candidate within _CONJUGATION_TOL; the inner decomposition runs two
+    decades tighter because map-space accuracy of f sits about two decades
+    above the metric-space residual.
     """
     spec = g_base.spec
     n = spec.n
     dec = slice_decompose(g_base, g, tol=1e-2 * _CONJUGATION_TOL)
     f = dec.phi
-    iso_g = isometry_candidates(g)
-    iso_base = isometry_candidates(g_base)
-    base_set = set(iso_base)
+    base_set = set(isometry_candidates(g_base))
 
     x, y = spec.cell_centers()
     fwd = f.points()  # f(x) at cell centers
 
     entries = []
-    worst = 0.0
-    for iota in iso_g:
+    for iota in isometry_candidates(g):
         zx, zy = iota.map_points(n, fwd[0] % 1.0, fwd[1] % 1.0)
         qx, qy = (np.stack([zx, zy]) + interpolate(f.v, zx, zy)) % 1.0
-
-        def deviation(kappa: LatticeIsometry) -> float:
-            kx, ky = kappa.map_points(n, x, y)
-            return max(_torus_gap(qx, kx), _torus_gap(qy, ky))
-
-        # guess: conjugation preserves the flip part and perturbs the shift,
-        # read off as the mean residual against the flip alone.  Each residual
-        # is wrapped about that of cell 0, so a half-torus shift does not
-        # split into +-1/2.  All base candidates are searched only when the
-        # guess does not match.
-        r = np.stack([qx, qy]) - np.stack(LatticeIsometry(iota.flip, (0, 0)).map_points(n, x, y))
-        r = r[:, :1, :1] + _half_wrap(r - r[:, :1, :1])
-        guess = LatticeIsometry(iota.flip, tuple(int(b) % n for b in np.round(np.mean(r, axis=(1, 2)) * n)))
-        scored = [(deviation(guess), guess)] if guess in base_set else []
-        if not scored or scored[0][0] > _CONJUGATION_TOL:
-            scored += [(deviation(kappa), kappa) for kappa in iso_base]
-        # the first of equal deviations wins
-        best_dev, best = min(scored, key=lambda e: e[0], default=(math.inf, None))
-        entries.append(ConjugationEntry(iota, best, best_dev))
-        worst = max(worst, best_dev)
+        flip_only = LatticeIsometry(iota.flip, (0, 0)).map_points(n, x[0, 0], y[0, 0])
+        shift = np.round((np.array([qx[0, 0], qy[0, 0]]) - flip_only) * n).astype(int) % n
+        kappa = LatticeIsometry(iota.flip, tuple(shift.tolist()))
+        kx, ky = kappa.map_points(n, x, y)
+        deviation = max(_torus_gap(qx, kx), _torus_gap(qy, ky))
+        entries.append(ConjugationEntry(iota, kappa if kappa in base_set else None, deviation))
 
     holds = all(e.matched is not None and e.deviation <= _CONJUGATION_TOL for e in entries)
+    worst = max((e.deviation for e in entries), default=0.0)
     return f, ConjugationReport(tuple(entries), holds, worst)

@@ -43,9 +43,6 @@ class Rot:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, -s], [s, c]])
 
-    def compose(self, other: "Rot") -> "Rot":
-        return Rot(self.theta + other.theta)
-
     def inverse(self) -> "Rot":
         return Rot(-self.theta)
 
@@ -124,9 +121,6 @@ class OrbitChart:
     radius: float
     height: float
     base_angle: float
-
-    def point_at(self, theta: float) -> SpdPoint:
-        return act(Rot(theta), self.base)
 
     def coset_of(self, q: SpdPoint) -> float:
         u, v, _ = q.chart

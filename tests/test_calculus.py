@@ -45,18 +45,18 @@ def test_metric_inverse_identity():
 
 def test_metric_inverse_diagonal():
     inv = metric_inverse(constant_metric(GridSpec(16), np.diag((4.0, 4.0))))
-    assert np.all(inv.s11.values == 0.25)
-    assert np.all(inv.s22.values == 0.25)
-    assert np.all(inv.s12.values == 0.0)
+    assert np.all(inv.values[0] == 0.25)
+    assert np.all(inv.values[2] == 0.25)
+    assert np.all(inv.values[1] == 0.0)
 
 
 def test_metric_inverse_generic_against_linalg():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     expected = np.linalg.inv(m)  # [[2/3, -1/3], [-1/3, 2/3]]
     inv = metric_inverse(constant_metric(GridSpec(16), m))
-    assert inv.s11.values[3, 5] == pytest.approx(expected[0, 0], abs=1e-14)
-    assert inv.s12.values[3, 5] == pytest.approx(expected[0, 1], abs=1e-14)
-    assert inv.s22.values[3, 5] == pytest.approx(expected[1, 1], abs=1e-14)
+    assert inv.values[0, 3, 5] == pytest.approx(expected[0, 0], abs=1e-14)
+    assert inv.values[1, 3, 5] == pytest.approx(expected[0, 1], abs=1e-14)
+    assert inv.values[2, 3, 5] == pytest.approx(expected[1, 1], abs=1e-14)
     assert expected[0, 0] == pytest.approx(2.0 / 3.0)
 
 
@@ -141,9 +141,9 @@ def test_lie_derivative_shear_analytic():
     _, y = spec.cell_centers()
     x_field = VectorField.from_arrays(spec, np.sin(2 * np.pi * y), np.zeros((64, 64)))
     out = lie_derivative_metric(identity_metric(spec), x_field)
-    assert np.max(np.abs(out.s11.values)) <= 1e-3
-    assert np.max(np.abs(out.s22.values)) <= 1e-3
-    assert np.max(np.abs(out.s12.values - 2 * np.pi * np.cos(2 * np.pi * y))) <= 1e-3
+    assert np.max(np.abs(out.values[0])) <= 1e-3
+    assert np.max(np.abs(out.values[2])) <= 1e-3
+    assert np.max(np.abs(out.values[1] - 2 * np.pi * np.cos(2 * np.pi * y))) <= 1e-3
 
 
 def test_divergence_constant_tensor_flat():
@@ -158,8 +158,8 @@ def test_divergence_flat_analytic():
     x, _ = spec.cell_centers()
     s = SymTensorField.from_arrays(spec, np.sin(2 * np.pi * x), np.zeros((64, 64)), np.zeros((64, 64)))
     w = divergence(identity_metric(spec), s)
-    assert np.max(np.abs(w.w1.values - 2 * np.pi * np.cos(2 * np.pi * x))) <= 1e-3
-    assert np.max(np.abs(w.w2.values)) <= 1e-3
+    assert np.max(np.abs(w.values[0] - 2 * np.pi * np.cos(2 * np.pi * x))) <= 1e-3
+    assert np.max(np.abs(w.values[1])) <= 1e-3
 
 
 def test_divergence_of_killing_lie_derivative():
@@ -176,16 +176,16 @@ def test_sharp_identity_metric():
 
     w = OneFormField.from_arrays(spec, np.full((16, 16), 0.4), np.full((16, 16), -0.7))
     x = sharp(identity_metric(spec), w)
-    assert np.array_equal(x.v1.values, w.w1.values)
-    assert np.array_equal(x.v2.values, w.w2.values)
+    assert np.array_equal(x.values[0], w.values[0])
+    assert np.array_equal(x.values[1], w.values[1])
 
 
 def test_flat_diagonal_metric():
     spec = GridSpec(16)
     g = constant_metric(spec, np.diag((4.0, 1.0)))
     w = flat(g, constant_vector(spec, (1.0, 1.0)))
-    assert np.all(w.w1.values == 4.0)
-    assert np.all(w.w2.values == 1.0)
+    assert np.all(w.values[0] == 4.0)
+    assert np.all(w.values[1] == 1.0)
 
 
 def test_sharp_flat_roundtrip_random():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from riemgrid.cli import main
-from riemgrid.fileio import write_field
-from riemgrid.grid import GridSpec, constant_metric, identity_metric
+from riemgrid.fileio import read_field, write_field
+from riemgrid.grid import GridSpec, SymTensorField, constant_metric, identity_metric
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,6 +41,12 @@ def test_exp_log_subcommands(example_dir, tmp_path):
     assert main(["--in", str(example_dir), "--out", str(out), "exp"]) == 0
     assert (out / "endpoint.rgf").exists()
     assert main(["--in", str(example_dir), "log"]) == 0
+
+
+def test_log_writes_its_velocity(example_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main(["--in", str(example_dir), "--out", str(out), "log"]) == 0
+    assert isinstance(read_field(out / "s_log.rgf"), SymTensorField)
 
 
 def test_decompose_subcommand(example_dir, tmp_path):
@@ -124,6 +130,13 @@ def test_usage_error_prints_one_error_line(tmp_path, capsys, argv, fragments):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     for fragment in fragments:
         assert fragment in lines[0]
+
+
+def test_lift_of_a_single_point_is_a_usage_error(tmp_path, capsys):
+    write_field(tmp_path / "path_00.rgf", identity_metric(GridSpec(16)), meta={"t": "0.0"})
+    assert main(["--in", str(tmp_path), "lift"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "at least two path_*.rgf" in lines[0]
 
 
 def test_numerical_error_exit_code(tmp_path):

@@ -8,17 +8,19 @@ from riemgrid.diffeos import (
     action_derivative,
     compose,
     flow_exp,
+    from_displacement,
     identity_diffeo,
     invert,
     pullback,
     translation,
 )
-from riemgrid.errors import NoConvergence, StepFailure
+from riemgrid.errors import JacobianSignFlip, NoConvergence, StepFailure
 from riemgrid.calculus import lie_derivative_metric
 from riemgrid.geodesics import ebin_norm
 from riemgrid.grid import (
     GridSpec,
     MetricField,
+    ScalarField,
     SymTensorField,
     VectorField,
     _Sampler,
@@ -39,8 +41,8 @@ def small_flow(seed=21, amplitude=0.01, t=1.0):
 
 def map_gap(phi, psi):
     return max(
-        np.max(np.abs(phi.u.v1.values - psi.u.v1.values)),
-        np.max(np.abs(phi.u.v2.values - psi.u.v2.values)),
+        np.max(np.abs(phi.u.values[0] - psi.u.values[0])),
+        np.max(np.abs(phi.u.values[1] - psi.u.values[1])),
     )
 
 
@@ -89,8 +91,8 @@ def test_translations_compose_exactly():
     a = translation(SPEC, (0.11, -0.07))
     b = translation(SPEC, (0.05, 0.30))
     c = compose(a, b)
-    assert np.all(c.u.v1.values == 0.11 + 0.05)
-    assert np.all(c.u.v2.values == -0.07 + 0.30)
+    assert np.all(c.u.values[0] == 0.11 + 0.05)
+    assert np.all(c.u.values[1] == -0.07 + 0.30)
 
 
 def test_compose_with_inverse_is_identity():
@@ -109,8 +111,8 @@ def test_compose_associativity():
 def test_invert_translation():
     phi = translation(SPEC, (0.2, -0.4))
     inv = invert(phi)
-    assert np.all(inv.u.v1.values == -0.2)
-    assert np.all(inv.u.v2.values == 0.4)
+    assert np.all(inv.u.values[0] == -0.2)
+    assert np.all(inv.u.values[1] == 0.4)
 
 
 def test_invert_flow_matches_negative_field():
@@ -133,8 +135,8 @@ def test_flow_of_zero_field():
 
 def test_flow_of_constant_field_is_translation():
     phi = flow_exp(constant_vector(SPEC, (0.25, 0.0)), 1.0)
-    assert np.max(np.abs(phi.u.v1.values - 0.25)) <= 1e-12
-    assert np.max(np.abs(phi.u.v2.values)) <= 1e-12
+    assert np.max(np.abs(phi.u.values[0] - 0.25)) <= 1e-12
+    assert np.max(np.abs(phi.u.values[1])) <= 1e-12
 
 
 def test_flow_matches_dense_reference():
@@ -211,6 +213,24 @@ def test_flow_with_non_finite_positions_raises():
         flow_exp(x_field, 1e-309)
 
 
+def test_folding_displacement_raises():
+    # det(I + Du) = 1 + 1.5 cos(2 pi x) is negative near x = 1/2
+    x, _ = SPEC.cell_centers()
+    u = VectorField.from_arrays(SPEC, 1.5 * np.sin(2 * np.pi * x) / (2 * np.pi), np.zeros_like(x))
+    with pytest.raises(JacobianSignFlip):
+        from_displacement(SPEC, u)
+
+
+def test_translation_by_a_non_finite_shift_raises():
+    with pytest.raises(StepFailure, match="non-finite"):
+        translation(SPEC, (np.nan, 0.0))
+
+
+def test_compose_across_grids_raises():
+    with pytest.raises(ValueError, match="different grids"):
+        compose(identity_diffeo(SPEC), identity_diffeo(GridSpec(16)))
+
+
 # ---------------------------------------------------------------------------
 # the cached spline gather: flows and Newton solves equal fresh interpolation
 
@@ -260,7 +280,7 @@ def test_pullback_lattice_translation_permutes_samples():
     s = random_sym_tensor(SPEC, 14, amplitude=0.4)
     phi = translation(SPEC, (3 * SPEC.h, 5 * SPEC.h))
     moved = pullback(phi, s)
-    assert np.array_equal(moved.s11.values, np.roll(s.s11.values, (3, 5), axis=(0, 1)))
+    assert np.array_equal(moved.values[0], np.roll(s.values[0], (3, 5), axis=(0, 1)))
     g = identity_metric(SPEC)
     assert np.array_equal(pullback(phi, g).as_stack(), g.as_stack())
 
@@ -274,9 +294,25 @@ def test_pullback_shear_flow_analytic():
     phi = flow_exp(x_field, 1.0)
     moved = pullback(phi, identity_metric(spec))
     c = 2 * np.pi * eps * np.cos(2 * np.pi * y)
-    assert np.max(np.abs(moved.g.s11.values - 1.0)) <= 1e-3
-    assert np.max(np.abs(moved.g.s12.values + c)) <= 1e-3
-    assert np.max(np.abs(moved.g.s22.values - (1.0 + c ** 2))) <= 1e-3
+    assert np.max(np.abs(moved.g.values[0] - 1.0)) <= 1e-3
+    assert np.max(np.abs(moved.g.values[1] + c)) <= 1e-3
+    assert np.max(np.abs(moved.g.values[2] - (1.0 + c ** 2))) <= 1e-3
+
+
+def test_pullback_of_a_scalar_reads_it_at_the_inverse_image():
+    # f(phi^-1(x)) to spline accuracy, by a flow and by a translation off the lattice
+    def fn(x, y):
+        return np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+
+    x, y = SPEC.cell_centers()
+    f = ScalarField(SPEC, fn(x, y))
+    phi = small_flow()
+    moved = pullback(phi, f)
+    assert isinstance(moved, ScalarField)
+    assert np.max(np.abs(moved.values - fn(x + phi.v.values[0], y + phi.v.values[1]))) <= 1e-5
+    moved = pullback(translation(SPEC, (0.1, 0.0)), f)
+    assert isinstance(moved, ScalarField)
+    assert np.max(np.abs(moved.values - fn(x - 0.1, y))) <= 1e-5
 
 
 def test_pullback_left_action_law():

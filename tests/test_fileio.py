@@ -33,9 +33,9 @@ def test_roundtrip_random_symtensor_bitexact(tmp_path):
     write_field(path, s)
     back = read_field(path)
     assert isinstance(back, SymTensorField)
-    assert back.s11.values.tobytes() == s.s11.values.tobytes()
-    assert back.s12.values.tobytes() == s.s12.values.tobytes()
-    assert back.s22.values.tobytes() == s.s22.values.tobytes()
+    assert back.values[0].tobytes() == s.values[0].tobytes()
+    assert back.values[1].tobytes() == s.values[1].tobytes()
+    assert back.values[2].tobytes() == s.values[2].tobytes()
 
 
 def test_roundtrip_vector_scalar_diffeo(tmp_path):
@@ -102,6 +102,49 @@ def test_resolution_below_four_rejected(tmp_path, n):
     header = f"riemgrid-field 1\nkind = metric\nn = {n}\ncomponents = g11 g12 g22\n---\n"
     path.write_bytes(header.encode("ascii") + np.repeat([1.0, 0.0, 1.0], n * n).astype("<f8").tobytes())
     with pytest.raises(FormatError, match="resolution"):
+        read_field(path)
+
+
+def _file(kind="metric", n="16", components="g11 g12 g22", payload=None) -> bytes:
+    header = f"riemgrid-field 1\nkind = {kind}\nn = {n}\ncomponents = {components}\n---\n"
+    if payload is None:
+        payload = np.repeat([1.0, 0.0, 1.0], 16 * 16)
+    return header.encode("ascii") + np.asarray(payload, dtype="<f8").tobytes()
+
+
+def _folding_map_payload() -> np.ndarray:
+    # u1 = 1.5 sin(2 pi x) / 2 pi gives det(I + Du) = 1 + 1.5 cos(2 pi x), negative near x = 1/2
+    x, _ = SPEC.cell_centers()
+    return np.stack([1.5 * np.sin(2 * np.pi * x) / (2 * np.pi), np.zeros_like(x)])
+
+
+def test_hand_written_file_is_read(tmp_path):
+    # the well-formed file that each case below breaks in one place
+    path = tmp_path / "good.rgf"
+    path.write_bytes(_file())
+    assert np.array_equal(read_field(path).as_stack(), identity_metric(SPEC).as_stack())
+
+
+@pytest.mark.parametrize(
+    "raw, error, match",
+    [
+        (b"riemgrid-field 1\nkind = metric\n", FormatError, "missing header terminator"),
+        (b"---\n", FormatError, "empty header"),
+        (b"riemgrid-field x\n---\n", FormatError, "bad version"),
+        (b"riemgrid-field 1\nkind=metric\n---\n", FormatError, "malformed header line"),
+        (_file(kind="spinor"), FormatError, "unknown kind"),
+        (_file(n="x"), FormatError, "bad resolution"),
+        (_file(components="s11 s12 s22"), FormatError, "do not match kind"),
+        (_file(payload=np.repeat([1.0, np.nan, 1.0], 16 * 16)), ValidationError, "non-finite"),
+        (_file("diffeo", components="u1 u2", payload=_folding_map_payload()), ValidationError, "fails its invariants"),
+    ],
+    ids=["no-terminator", "empty-header", "bad-version", "no-separator", "unknown-kind", "bad-n", "components",
+         "nan-payload", "folding-map"],
+)
+def test_malformed_file_rejected(tmp_path, raw, error, match):
+    path = tmp_path / "bad.rgf"
+    path.write_bytes(raw)
+    with pytest.raises(error, match=match):
         read_field(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from riemgrid.diffeos import pullback, translation
-from riemgrid.errors import NoConvergence, PositivityLoss
+from riemgrid.errors import NoConvergence, PositivityLoss, ToleranceNotMet
 from riemgrid.geodesics import (
     _exp_endpoint,
     _sym_inner,
@@ -339,6 +339,19 @@ def test_log_exp_roundtrip_large_angle():
     s = SymTensorField.from_stack(g.spec, -4.0 * gs + 2.0 * np.tan(np.pi - 3.0) * m0.as_stack() / unit)
     target_gap, _ = _roundtrip_gaps(g, s)
     assert target_gap <= 1e-12
+
+
+def test_log_that_misses_its_tolerance_raises():
+    # the round trip is good to 3e-16, above a 1e-18 tol: the third cause of "outside chart"
+    target = MetricField(GAMMA.g + random_sym_tensor(SPEC, 3, amplitude=0.1))
+    with pytest.raises(NoConvergence, match="closed-form log missed the target"):
+        ebin_log(GAMMA, target, tol=1e-18)
+
+
+def test_exp_speed_drift_above_tol_raises():
+    # the closed form keeps the speed to 2e-16, which a zero tol still rejects
+    with pytest.raises(ToleranceNotMet, match="speed drift"):
+        ebin_exp(GAMMA, random_sym_tensor(SPEC, 3, amplitude=0.1), 1.0, tol=0.0)
 
 
 def test_relative_distance_scale():

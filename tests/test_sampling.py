@@ -47,6 +47,11 @@ def test_band_limited_amplitude_and_tiling():
     assert np.array_equal(g.values[:16, :16], g.values[16:, :16])
 
 
+def test_period_must_divide_the_resolution():
+    with pytest.raises(ValueError, match="period_cells must divide"):
+        random_vector_field(GridSpec(32), 1, amplitude=0.1, period_cells=5)
+
+
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("amplitude", [0.25, 0.05, 0.1, 0.002, 1.0])
 def test_band_limited_max_is_the_amplitude_exactly(n, amplitude):
@@ -89,8 +94,8 @@ def test_separable_synthesis_matches_the_per_mode_sum(n, max_mode):
 
 def test_vector_field_zero_mean():
     v = random_vector_field(GridSpec(16), 7, amplitude=0.1)
-    assert abs(np.mean(v.v1.values)) <= 1e-15
-    assert abs(np.mean(v.v2.values)) <= 1e-15
+    assert abs(np.mean(v.values[0])) <= 1e-15
+    assert abs(np.mean(v.values[1])) <= 1e-15
 
 
 def test_divergence_free_construction():
@@ -99,6 +104,6 @@ def test_divergence_free_construction():
     for seed in (1, 2, 3):
         h = divergence_free_tensor(spec, seed, amplitude=0.05)
         w = divergence(gamma, h)
-        assert np.max(np.abs(w.w1.values)) <= 1e-12
-        assert np.max(np.abs(w.w2.values)) <= 1e-12
+        assert np.max(np.abs(w.values[0])) <= 1e-12
+        assert np.max(np.abs(w.values[1])) <= 1e-12
         assert np.max(np.abs(h.as_stack())) == 0.05

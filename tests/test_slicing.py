@@ -113,8 +113,8 @@ def test_project_orthogonality_invariant():
 def test_project_zero_mean_gauge():
     s = random_sym_tensor(SPEC, 77, amplitude=0.3)
     split = berger_ebin_project(GAMMA, s)
-    assert abs(np.mean(split.x.v1.values)) <= 1e-13
-    assert abs(np.mean(split.x.v2.values)) <= 1e-13
+    assert abs(np.mean(split.x.values[0])) <= 1e-13
+    assert abs(np.mean(split.x.values[1])) <= 1e-13
 
 
 def test_project_curved_base_meets_loose_tolerance_only():
@@ -555,6 +555,19 @@ def test_lift_mixed_path_around_curved_base():
         assert _divergence_defect(lifted.points[k - 1], velocity) <= 5e-5
 
 
+def test_lift_names_the_step_that_failed():
+    gamma = identity_metric(GridSpec(16))
+    path = MetricPath((0.0, 1.0), (gamma, MetricField(gamma.g * 1.5)))
+    with pytest.raises(NoConvergence, match="lift failed at step 1"):
+        horizontal_lift(path)
+
+
+@pytest.mark.parametrize("times, points", [((0.0, 1.0), (GAMMA,)), ((0.0,), (GAMMA,))], ids=["mismatched", "one-sample"])
+def test_metric_path_rejects_bad_samples(times, points):
+    with pytest.raises(ValueError, match="at least two samples"):
+        MetricPath(times, points)
+
+
 # ---------------------------------------------------------------------------
 # lattice candidates
 
@@ -598,7 +611,7 @@ def test_lattice_transport_matches_index_form_bitwise():
         for iso in candidate_family(n):
             si, sj = _source_indices(n, iso)
             assert np.array_equal(lattice_transport(iso, f).values, f.values[si, sj])
-            a11, a12, a22 = (c.values[si, sj] for c in (s.s11, s.s12, s.s22))
+            a11, a12, a22 = (c[si, sj] for c in s.values)
             if iso.flip in ("fx", "fy"):
                 a12 = -a12
             elif iso.flip == "swap":
@@ -611,6 +624,14 @@ def test_lattice_transport_matches_diffeo_pullback_for_translations():
     iso = LatticeIsometry("id", (6, 13))
     via_diffeo = pullback(translation(SPEC, (6 * SPEC.h, 13 * SPEC.h)), s)
     assert np.array_equal(lattice_transport(iso, s).as_stack(), via_diffeo.as_stack())
+
+
+def test_lattice_candidates_reject_what_they_cannot_move():
+    with pytest.raises(ValueError, match="unknown flip"):
+        LatticeIsometry("rot", (0, 0))
+    # a flip maps a vector's components by a rule the sample permutation does not apply
+    with pytest.raises(ValueError, match="flips move only scalar and symmetric-tensor samples"):
+        lattice_transport(LatticeIsometry("fx", (0, 0)), random_vector_field(SPEC, 1, amplitude=0.1))
 
 
 def test_isometry_candidates_flat_metric():
@@ -815,3 +836,19 @@ def test_conjugate_isometries_generic_slice_point_vacuous():
     cands = [e.candidate for e in report.entries]
     assert len(cands) == 1 and cands[0] == LatticeIsometry("id", (0, 0))
     assert report.inclusion_holds
+
+
+def test_conjugate_isometries_reports_the_flat_isometries_a_curved_base_lacks():
+    # g = I sits 0.010 from the base 1 + 0.02 sin 2 pi x (relative distance),
+    # inside the radius where slice_decompose converges, but outside Ebin's
+    # slice neighbourhood: inclusion fails.  Each of the 976 isometries of I
+    # that the base lacks conjugates to a map 3.1e-3 from an x-shifted lattice
+    # map that is no base isometry, and no other base candidate is near it.
+    base = sin_metric(16, 0.02)
+    f, report = conjugate_isometries(base, identity_metric(base.spec))
+    matched = [e for e in report.entries if e.matched is not None]
+    unmatched = [e for e in report.entries if e.matched is None]
+    assert not report.inclusion_holds
+    assert len(matched) == 48 and len(unmatched) == 976
+    assert all(e.deviation <= 1e-6 and e.matched == e.candidate for e in matched)
+    assert all(1e-6 < e.deviation <= 1e-2 for e in unmatched)

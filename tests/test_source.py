@@ -1,9 +1,9 @@
 """Source hygiene: every name a library module imports is used in it, every
-import sits at the top of its module, and every public definition is
-exported or used.
+import sits at the top of its module, every public definition is exported or
+used, and every public class member is read by the library.
 
 No linter runs in CI; this catches the imports that deletions leave behind,
-and the operations that only tests still call.  The package __init__ is
+and the operations and members that only tests still call.  The package __init__ is
 skipped by the unused-name check, as its imports are the public re-exports.
 """
 
@@ -96,3 +96,44 @@ def test_every_public_definition_is_exported_or_used():
     }
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert unreachable_definitions(sources, exported) == []
+
+
+def unread_members(sources: dict) -> list:
+    """Class.member of each public method, property or class-level attribute of a class in
+    sources (module -> text) that no attribute read outside its own definition names."""
+    members = []  # (class, member, ids of the nodes of its definition)
+    reads = []
+    for source in sources.values():
+        tree = ast.parse(source)
+        reads += [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    names = [node.target.id]  # a dataclass field without a default is no class attribute
+                else:
+                    names = []
+                own = {id(n) for n in ast.walk(node)}
+                members += [(cls.name, name, own) for name in names if not name.startswith("_")]
+    return sorted(
+        f"{cls}.{name}" for cls, name, own in members if not any(r.attr == name and id(r) not in own for r in reads)
+    )
+
+
+def test_unread_members_finds_only_unread_ones():
+    sources = {
+        "a": (
+            "class C:\n    x: int\n    y: int = 0\n    z = 1\n    _p = 2\n"
+            "    def f(self):\n        return self.f()\n    @property\n    def g(self):\n        return self.z\n"
+        ),
+        "b": "def k(c):\n    return c.g\n",
+    }
+    assert unread_members(sources) == ["C.f", "C.y"]
+
+
+def test_every_public_member_is_read_by_the_library():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_members(sources) == []
