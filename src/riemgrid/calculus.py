@@ -5,7 +5,7 @@ inverse, and all spatial derivatives use the shared 4th-order stencils from
 grid, so discrete identities degrade uniformly.  The flat metric passes
 through the same code path as any other metric.  A MetricField is checked
 positive-definite at construction and immutable, so nothing here re-checks it.
-Its inverse, volume density and gradients are the metric's own cached,
+Its inverse, volume density and table of L_X g are the metric's own cached,
 read-only arrays (grid.MetricField): computed once per metric and freed with
 it, so this module keeps no cache.
 
@@ -14,10 +14,12 @@ back to a one-form, the duality reads
 
     sigma_gamma(L_X gamma, S) = -2 * integral (div S)(X) dvol(gamma),
 
-and is exact (to roundoff) on every metric: div is built as the transpose of
-the discrete L_X g, using that the central stencils are skew-adjoint under
-the midpoint quadrature.  It agrees with the Christoffel form of the
-covariant divergence to 4th order.
+and is exact (to roundoff) on every metric.  The formula of L_X g has one
+home, the per-cell table C with L_X g = C J on the jet J = (X, D_x X, D_y X)
+(grid.MetricField._lie_table).  div applies its transpose with the sigma
+weight W, using that the central stencils are skew-adjoint under the
+midpoint quadrature (D^T = -D): div s = -(1/(2 vol)) J^T C^T W s.  It agrees
+with the Christoffel form of the covariant divergence to 4th order.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .grid import (
     VectorField,
     _cell_sum,
     _Field,
-    stencil_derivative,
-    stencil_gradient,
+    _jet,
+    _jet_adjoint,
 )
 
 
@@ -58,17 +60,7 @@ def lie_derivative_metric(g: MetricField, x: VectorField) -> SymTensorField:
 
 
 def _lie_stack(g: MetricField, xs: np.ndarray) -> np.ndarray:
-    gs = g.as_stack()
-    comp = [[gs[0], gs[1]], [gs[1], gs[2]]]
-    dg = g._gradients
-    dx = stencil_gradient(xs, g.spec.h)  # dx[i][k] = D_i X^k
-    out = np.empty((3,) + xs[0].shape)
-    for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-        acc = xs[0] * dg[0, i, j] + xs[1] * dg[1, i, j]
-        for k in range(2):
-            acc += comp[k][j] * dx[i, k] + comp[i][k] * dx[j, k]
-        out[idx] = acc
-    return out
+    return np.einsum("pqij,qij->pij", g._lie_table, _jet(xs, g.spec.h))
 
 
 def divergence(g: MetricField, s: SymTensorField) -> OneFormField:
@@ -82,13 +74,15 @@ def divergence(g: MetricField, s: SymTensorField) -> OneFormField:
 
 
 def _divergence_stack(g: MetricField, ss: np.ndarray) -> np.ndarray:
-    # -(1/(2 vol)) L^T W s, with L^T built from _lie_stack term by term by D^T = -D
-    h = g.spec.h
-    inv, vol, dg = g._inverse, g._volume, g._gradients
-    m = _sym_product(inv, ss)  # (g^-1 s)^i_k as (m11, m12, m21, m22)
-    t11, t12, t22 = m[0] * inv[0] + m[1] * inv[1], m[0] * inv[1] + m[1] * inv[2], m[2] * inv[1] + m[3] * inv[2]
-    flux = stencil_derivative(vol * np.stack(m[:2]), 1, h) + stencil_derivative(vol * np.stack(m[2:]), 2, h)
-    return flux / vol - 0.5 * (dg[:, 0, 0] * t11 + 2.0 * dg[:, 0, 1] * t12 + dg[:, 1, 1] * t22)
+    ws = np.einsum("qpij,qij->pij", g._lie_table, np.einsum("qrij,rij->qij", _sigma_weight(g), ss))
+    return _jet_adjoint(ws, g.spec.h) / (-2.0 * g._volume)
+
+
+def _sigma_weight(g: MetricField) -> np.ndarray:
+    """W with t . W s = vol tr(g^-1 s g^-1 t) on stored components, so sigma(s, t) = h^2 sum t . W s."""
+    a, b, c = g._inverse
+    ab, bc, bb = 2.0 * a * b, 2.0 * b * c, b * b
+    return g._volume * np.array([[a * a, ab, bb], [ab, 2.0 * (a * c + bb), bc], [bb, bc, c * c]])
 
 
 def sharp(g: MetricField, w: OneFormField) -> VectorField:

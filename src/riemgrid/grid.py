@@ -30,8 +30,8 @@ whole stacks: x and y are the last two array axes, so one call differentiates
 every component of a field.  Every public operation here is a pure function.
 
 Derived data (a field's spline coefficients; a metric's inverse, volume
-density and gradients) is a cached_property of the object it derives from:
-computed once, on first use, read-only, and freed with that object.
+density and table of L_X g) is a cached_property of the object it derives
+from: computed once, on first use, read-only, and freed with that object.
 """
 
 from __future__ import annotations
@@ -257,6 +257,17 @@ def stencil_gradient(values: np.ndarray, h: float) -> np.ndarray:
     return np.stack([stencil_derivative(values, 1, h), stencil_derivative(values, 2, h)])
 
 
+def _jet(values: np.ndarray, h: float) -> np.ndarray:
+    """(X, D_x X, D_y X) of a (k, n, n) stack, shape (3k, n, n)."""
+    return np.concatenate((values, stencil_derivative(values, 1, h), stencil_derivative(values, 2, h)))
+
+
+def _jet_adjoint(jets: np.ndarray, h: float) -> np.ndarray:
+    """The transpose of _jet under the plain cell sum, by D^T = -D: y_0 - D_x y_x - D_y y_y."""
+    y0, yx, yy = jets.reshape((3, -1) + jets.shape[1:])
+    return y0 - stencil_derivative(yx, 1, h) - stencil_derivative(yy, 2, h)
+
+
 def integrate(f: ScalarField) -> float:
     """Midpoint-rule integral h^2 * sum(values) over the torus, summed in sorted order."""
     return _cell_sum(f.spec, f.values.copy())
@@ -316,7 +327,7 @@ _SYM = np.array([[0, 1], [1, 2]])
 class MetricField:
     """Pointwise symmetric positive-definite 2x2 field: a point of the metric space.
 
-    Its inverse, volume density and stencil gradients are computed on first
+    Its inverse, volume density and table of L_X g are computed on first
     use, cached on the metric as read-only arrays, and freed with it.
     """
 
@@ -338,9 +349,16 @@ class MetricField:
         return _read_only(np.sqrt(_det(self.g.values)))
 
     @cached_property
-    def _gradients(self) -> np.ndarray:
-        """dg[a][b][c] = D_a g_bc, shape (2, 2, 2, n, n)."""
-        return _read_only(stencil_gradient(self.g.values, self.spec.h)[:, _SYM])
+    def _lie_table(self) -> np.ndarray:
+        """L_X g = C J on the jet J of _jet: row ij of C, shape (3, 6, n, n), holds
+        (L_X g)_ij = X^k D_k g_ij + g_kj D_i X^k + g_ik D_j X^k."""
+        gs = self.g.values
+        c = np.zeros((3, 6) + gs.shape[1:])
+        c[:, 0], c[:, 1] = stencil_gradient(gs, self.spec.h)
+        for row, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+            c[row, 2 + 2 * i : 4 + 2 * i] += gs[_SYM[:, j]]  # g_kj D_i X^k over k
+            c[row, 2 + 2 * j : 4 + 2 * j] += gs[_SYM[i]]  # g_ik D_j X^k over k
+        return _read_only(c)
 
     @property
     def spec(self) -> GridSpec:

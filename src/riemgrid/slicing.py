@@ -3,10 +3,10 @@
 The tangent space at a metric g splits sigma-orthogonally into the orbit
 directions {L_X g} of the pullback action and the divergence-free tensors.
 berger_ebin_project computes that splitting matrix-free, on every base by
-conjugate gradients on the symmetric operator L^T W L (the discrete divergence
-is the exact sigma-adjoint of the discrete L_X g), preconditioned by the FFT
-solve at the mean metric plus the two translations; on a constant base that
-preconditioner is the exact inverse, and one iteration solves;
+conjugate gradients on the symmetric operator L^T W L, applied through one
+6 x 6 table C^T W C per cell that is built once per base, and preconditioned
+by the FFT solve at the mean metric plus the two translations; on a constant
+base that preconditioner is the exact inverse, and one iteration solves;
 slice_decompose inverts the local product chart, writing a nearby metric as
 pullback(phi, exp_g(h)) with div-free h; horizontal_lift removes the orbit
 component of a path's velocity step by step.  Isometry probing is
@@ -25,10 +25,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .calculus import _divergence_stack, _lie_stack, _sharp_stack, _trace_pairing_values, _vector_inner_stack
+from .calculus import _sigma_weight
 from .diffeos import DiffeoGrid, compose, flow_exp, identity_diffeo, invert, pullback
 from .errors import JacobianSignFlip, NoConvergence, SolverStall, StepFailure
 from .geodesics import _exp_endpoint, _sym_inner, _sym_norm, ebin_log, ebin_norm, relative_distance
-from .grid import MetricField, SymTensorField, VectorField, _flipped, interpolate
+from .grid import MetricField, SymTensorField, VectorField, _flipped, _jet, _jet_adjoint, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +67,8 @@ _NEAR_KILLING = 1e-10
 # PCG: iteration cap, and the drop of sqrt(r^T M r) that ends the solve
 _PCG_MAX = 60
 _PCG_RTOL = 1e-13
-# the preconditioner of each live base; apply holds no reference to g, so it goes with g
-_PRECONDITIONERS = weakref.WeakKeyDictionary()
-
-
-def _split_operator(g: MetricField, xs: np.ndarray) -> np.ndarray:
-    """K X = L^T W L X = -2 vol div(L_X g), symmetric positive semi-definite."""
-    return -2.0 * g._volume * _divergence_stack(g, _lie_stack(g, xs))
+# the solver of each live base; its closures hold no reference to g, so it goes with g
+_SOLVERS = weakref.WeakKeyDictionary()
 
 
 def _fourier_solver(n: int, g11: float, g12: float, g22: float):
@@ -109,38 +105,51 @@ def _fourier_solver(n: int, g11: float, g12: float, g22: float):
     return solve, float(np.min((0.5 * (a + c) - np.hypot(0.5 * (a - c), b))[det > 0.0]))
 
 
-def _preconditioner(g: MetricField):
-    """Symmetric approximate inverse of K, as a closure built once per base.
+def _solver(g: MetricField) -> tuple:
+    """(K, M) of the split at the base g, as closures built once per base.
 
-    Two levels, added: the Fourier solve at the mean metric, which inverts K
-    there but leaves out the constants, plus the exact solve Z E^+ Z^T on the
-    two unit translations Z, with E = Z^T K Z, which are not Killing on a
-    curved base.  Eigen-directions of E below _NEAR_KILLING of K's smallest
-    gain on smooth modes are dropped.  The checkerboards are in neither
-    range, so no iterate carries them.  On a constant base E = 0, both
-    translations are dropped, and what is left is the exact inverse of K.
+    K X = L^T W L X = -2 vol div(L_X g), symmetric positive semi-definite, is
+    J^T A J with the 6 x 6 cell table A = C^T W C, as L = C J (calculus).
+
+    M is a symmetric approximate inverse of K with two levels, added: the
+    Fourier solve at the mean metric, which inverts K there but leaves out
+    the constants, plus the exact solve Z E^+ Z^T on the two unit
+    translations Z, with E = Z^T K Z, which are not Killing on a curved base.
+    Eigen-directions of E below _NEAR_KILLING of K's smallest gain on smooth
+    modes are dropped.  The checkerboards are in neither range, so no iterate
+    carries them.  On a constant base E = 0, both translations are dropped,
+    and what is left is the exact inverse of K.
     """
-    if g in _PRECONDITIONERS:
-        return _PRECONDITIONERS[g]
-    n = g.spec.n
+    if g in _SOLVERS:
+        return _SOLVERS[g]
+    n, h = g.spec.n, g.spec.h
+    table = np.einsum("qpij,qsij->psij", g._lie_table, np.einsum("qrij,rsij->qsij", _sigma_weight(g), g._lie_table))
+
+    def apply_k(xs: np.ndarray) -> np.ndarray:
+        return _jet_adjoint(np.einsum("psij,sij->pij", table, _jet(xs, h)), h)
+
     means = [float(np.mean(c)) for c in g.as_stack()]
     solve, sigma_min = _fourier_solver(n, *means)
     weight = 2.0 * math.sqrt(means[0] * means[2] - means[1] * means[1])  # K = -2 vol div L there
-    units = np.zeros((2, 2, n, n))
-    units[0, 0] = units[1, 1] = 1.0 / n  # unit-norm translations
-    kz = [_split_operator(g, zj) for zj in units]
-    e = np.array([[_dot(zi, kzj) for kzj in kz] for zi in units])
-    gains, vecs = np.linalg.eigh(e)
+    units = np.einsum("ab,xy->abxy", np.eye(2), np.full((n, n), 1.0 / n))  # unit-norm translations
+    e = np.einsum("iaxy,jaxy->ij", units, [apply_k(zj) for zj in units])  # no BLAS
+    gains, projectors = _sym_eigen2(e)
     keep = gains > _NEAR_KILLING * weight * sigma_min
-    coarse = np.einsum("jk,j...->k...", vecs[:, keep], units)
-    gains = gains[keep]
+    coarse = np.einsum("k,kjb,b...->j...", 1.0 / gains[keep], projectors[keep], units)  # E^+ Z
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        coef = np.einsum("kaij,aij->k", coarse, r) / gains
-        return solve(r / -weight) + np.einsum("k,k...->...", coef, coarse)
+    def apply_m(r: np.ndarray) -> np.ndarray:
+        return solve(r / -weight) + np.einsum("j,j...->...", np.einsum("jaxy,axy->j", units, r), coarse)
 
-    _PRECONDITIONERS[g] = apply
-    return apply
+    _SOLVERS[g] = apply_k, apply_m
+    return _SOLVERS[g]
+
+
+def _sym_eigen2(e: np.ndarray) -> tuple:
+    """Ascending eigenvalues mean -+ rad and spectral projectors (I -+ (e - mean I) / rad) / 2 (I / 2 each
+    when rad = 0) of a symmetric 2x2 matrix, by hypot, sqrt and arithmetic, which round alike everywhere."""
+    mean, rad = 0.5 * (e[0, 0] + e[1, 1]), math.hypot(0.5 * (e[0, 0] - e[1, 1]), e[0, 1])
+    unit = (e - mean * np.eye(2)) / rad if rad else np.zeros((2, 2))
+    return np.array([mean - rad, mean + rad]), 0.5 * np.array([np.eye(2) - unit, np.eye(2) + unit])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -187,7 +196,7 @@ def _split(g: MetricField, ss: np.ndarray) -> tuple:
     left in h.
     """
     b = _divergence_stack(g, ss)
-    xs, iterations = _pcg(lambda xs: _split_operator(g, xs), _preconditioner(g), -2.0 * g._volume * b)
+    xs, iterations = _pcg(*_solver(g), -2.0 * g._volume * b)
     lie = _lie_stack(g, xs)
     hs = ss - lie
     denom = max(_sym_inner(g, ss, ss), 1e-300)
@@ -200,17 +209,14 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
 
     Solves div(L_X g) = div(s) for X.  div is the exact adjoint of L_X g, so
     K = -2 vol div L is symmetric, and PCG runs to a relative residual of
-    1e-13 whatever tol is.  Its preconditioner is the FFT solve at the mean
-    metric, where the operator is a Fourier multiplier with a 2x2 symbol per
-    wavenumber and its kernel (constants and stencil checkerboards) is left
-    out, plus a coarse solve on the translations.  On a constant base that is
-    the exact inverse, so one iteration solves and X has zero mean.  The
-    divergence left in h must be at most tol times that of s.  What no split
-    can remove is the checkerboard content of div s (1e-3 of it on a generic
-    base at n=16, 3e-7 at n=32), which falls fast under refinement, and the
-    content along a translation that is near-Killing (left out, as its solve
-    would move X by an ill-determined shift).  A tol below that floor raises
-    SolverStall (retry with higher resolution or a looser tolerance).
+    1e-13 whatever tol is.  On a constant base its preconditioner is the exact
+    inverse, so one iteration solves and X has zero mean.  The divergence left
+    in h must be at most tol times that of s.  What no split can remove is the
+    checkerboard content of div s (1e-3 of it on a generic base at n=16, 3e-7
+    at n=32), which falls fast under refinement, and the content along a
+    translation that is near-Killing (left out, as its solve would move X by
+    an ill-determined shift).  A tol below that floor raises SolverStall
+    (retry with higher resolution or a looser tolerance).
     """
     split, b = _split(g, s.values)
     div_s_norm = _one_form_norm(g, b)
@@ -369,6 +375,7 @@ def horizontal_lift(path: MetricPath, tol: float = 1e-6):
             dec = slice_decompose(base, target, tol=tol)
         except NoConvergence as e:
             raise NoConvergence(f"lift failed at step {k + 1}: {e}") from e
+        _SOLVERS.pop(base, None)  # no later step splits at base: free its 36 n^2 operator table
         lifted.append(_exp_endpoint(base, dec.h.values))
         gauges.append(compose(gauges[k], dec.phi))
     return MetricPath(path.times, tuple(lifted)), gauges

@@ -33,6 +33,7 @@ from riemgrid.grid import (
     identity_metric,
     integrate,
     stencil_derivative,
+    stencil_gradient,
 )
 from riemgrid.sampling import random_sym_tensor, random_vector_field
 
@@ -84,7 +85,7 @@ def test_volume_density_cases():
 
 def christoffels(g):
     """Levi-Civita symbols c^k_ij = (1/2) g^{kl} (D_i g_lj + D_j g_li - D_l g_ij), shape (2, 2, 2, n, n)."""
-    dg = g._gradients
+    dg = stencil_gradient(g.as_stack(), g.spec.h)[:, _SYM]  # dg[a][b][c] = D_a g_bc
     # (D_i g_lj + D_j g_li - D_l g_ij) at [l, i, j]
     t = np.einsum("ilj...->lij...", dg) + np.einsum("jli...->lij...", dg) - dg
     return 0.5 * np.einsum("kl...,lij...->kij...", g._inverse[_SYM], t)

@@ -76,7 +76,7 @@ def test_derived_data_is_cached_read_only():
     g = MetricField.from_stack(
         GridSpec(n), np.stack([np.full((n, n), 2.0), 0.1 * rng.standard_normal((n, n)), np.full((n, n), 3.0)])
     )
-    for owner, name in ((g, "_inverse"), (g, "_volume"), (g, "_gradients"), (g.g, "_spline_coef")):
+    for owner, name in ((g, "_inverse"), (g, "_volume"), (g, "_lie_table"), (g.g, "_spline_coef")):
         cached = getattr(owner, name)
         assert getattr(owner, name) is cached, name
         assert not cached.flags.writeable, name

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from riemgrid import slicing
-from riemgrid.calculus import divergence, lie_derivative_metric, sharp, vector_inner
+from riemgrid.calculus import divergence, lie_derivative_metric, metric_inverse, sharp, vector_inner, volume_density
 from riemgrid.convergence import measured_order
 from riemgrid.diffeos import flow_exp, pullback, translation
 from riemgrid.errors import NoConvergence, SolverStall, StepFailure
@@ -22,10 +22,13 @@ from riemgrid.grid import (
     MetricField,
     ScalarField,
     SymTensorField,
+    VectorField,
     _flipped,
     constant_field,
     constant_metric,
     identity_metric,
+    stencil_derivative,
+    stencil_gradient,
 )
 from riemgrid.sampling import divergence_free_tensor, random_sym_tensor, random_vector_field
 from riemgrid.slicing import (
@@ -142,19 +145,115 @@ def test_project_curved_tolerance_is_relative_to_scale():
 def test_preconditioner_is_built_once_per_base():
     spec = GridSpec(16)
     g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
-    assert slicing._preconditioner(g) is slicing._preconditioner(g)
+    assert slicing._solver(g) is slicing._solver(g)
 
 
 def test_dropped_base_is_freed_with_its_preconditioner():
-    # the split's solver cache holds a curved base weakly, so the base and its
-    # cached inverse, volume and gradients go when the caller drops it
+    # the split's solver cache holds a curved base weakly, so the base, its
+    # cached inverse, volume and table of L_X g, and its solver go when the
+    # caller drops it
     spec = GridSpec(16)
     g = MetricField(identity_metric(spec).g + random_sym_tensor(spec, 1, amplitude=0.1))
     berger_ebin_project(g, random_sym_tensor(spec, 1001, amplitude=0.05), tol=1e-2)
-    ref = weakref.ref(g)
+    apply_k, apply_m = slicing._solver(g)
+    refs = [weakref.ref(g), weakref.ref(g._lie_table), weakref.ref(apply_k), weakref.ref(apply_m)]
+    del apply_k, apply_m
     del g
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 4
+
+
+def lie_reference(g, xs):
+    """(L_X g)_ij = X^k D_k g_ij + g_kj D_i X^k + g_ik D_j X^k, term by term."""
+    gs = g.as_stack()
+    comp = [[gs[0], gs[1]], [gs[1], gs[2]]]
+    dg = stencil_gradient(gs, g.spec.h)  # dg[k][ij] = D_k g_ij
+    dx = stencil_gradient(xs, g.spec.h)  # dx[i][k] = D_i X^k
+    out = []
+    for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        acc = xs[0] * dg[0, idx] + xs[1] * dg[1, idx]
+        for k in range(2):
+            acc = acc + comp[k][j] * dx[i, k] + comp[i][k] * dx[j, k]
+        out.append(acc)
+    return np.stack(out)
+
+
+def divergence_reference(g, ss):
+    """(div s)_k = vol^-1 D_i(vol (g^-1 s)^i_k) - (1/2) (D_k g_ab) (g^-1 s g^-1)^ab, term by term."""
+    h = g.spec.h
+    inv, vol = metric_inverse(g).as_stack(), volume_density(g).values
+    dg = stencil_gradient(g.as_stack(), h)
+    m = (inv[0] * ss[0] + inv[1] * ss[1], inv[0] * ss[1] + inv[1] * ss[2],
+         inv[1] * ss[0] + inv[2] * ss[1], inv[1] * ss[1] + inv[2] * ss[2])  # (g^-1 s)^i_k
+    t11, t12, t22 = m[0] * inv[0] + m[1] * inv[1], m[0] * inv[1] + m[1] * inv[2], m[2] * inv[1] + m[3] * inv[2]
+    flux = stencil_derivative(vol * np.stack(m[:2]), 1, h) + stencil_derivative(vol * np.stack(m[2:]), 2, h)
+    return flux / vol - 0.5 * (dg[:, 0] * t11 + 2.0 * dg[:, 1] * t12 + dg[:, 2] * t22)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_split_operator_matches_the_composed_term_by_term_formulas(n):
+    # K = J^T (C^T W C) J from the fused per-cell table equals -2 vol div(L_X g)
+    # with L and div written out term by term, and L_X g and div agree with them
+    spec = GridSpec(n)
+    for g in (generic_metric(n, 1), generic_metric(n, 2), sin_metric(n, 0.3)):
+        xs = random_vector_field(spec, 7, amplitude=0.3).as_stack()
+        s = random_sym_tensor(spec, 8, amplitude=0.3)
+        lie = lie_reference(g, xs)
+        k_ref = -2.0 * volume_density(g).values * divergence_reference(g, lie)
+        assert np.max(np.abs(slicing._solver(g)[0](xs) - k_ref)) <= 1e-14 * np.max(np.abs(k_ref))
+        lie_field = lie_derivative_metric(g, VectorField(spec, xs)).as_stack()
+        assert np.max(np.abs(lie_field - lie)) <= 1e-14 * np.max(np.abs(lie))
+        div_ref = divergence_reference(g, s.as_stack())
+        assert np.max(np.abs(divergence(g, s).as_stack() - div_ref)) <= 1e-14 * np.max(np.abs(div_ref))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_split_operator_is_symmetric(n):
+    spec = GridSpec(n)
+    for seed in (1, 2, 3):
+        g = generic_metric(n, seed)
+        a = random_vector_field(spec, 10 + seed, amplitude=0.3).as_stack()
+        b = random_vector_field(spec, 20 + seed, amplitude=0.3).as_stack()
+        apply_k = slicing._solver(g)[0]
+        ka, kb = apply_k(a), apply_k(b)
+        scale = math.sqrt(slicing._dot(ka, ka) * slicing._dot(b, b))
+        assert abs(slicing._dot(ka, b) - slicing._dot(a, kb)) <= 1e-14 * scale
+
+
+def test_closed_form_2x2_eigen_solve_matches_eigh():
+    rng = np.random.default_rng(5)
+    generic = [m + m.T for m in rng.standard_normal((50, 2, 2))]
+    scaled = [m * 10.0 ** e for m, e in zip(generic[:9], range(-12, 13, 3))]
+    special = [np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.diag([-3.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for e in generic + scaled + special:
+        gains, projectors = slicing._sym_eigen2(e)
+        ref_gains, ref_vecs = np.linalg.eigh(e)
+        scale = np.max(np.abs(e))
+        assert np.max(np.abs(gains - ref_gains)) <= 1e-15 * scale
+        # distinct eigenvalues: each projector is v v^T of eigh's eigenvector v
+        ref_projectors = np.einsum("ak,bk->kab", ref_vecs, ref_vecs)
+        assert np.max(np.abs(projectors - ref_projectors)) <= 1e-14
+
+
+@pytest.mark.parametrize("c", [0.0, 2.5, -1.0])
+def test_closed_form_2x2_eigen_solve_of_equal_eigenvalues(c):
+    # c I, the zero matrix included: both eigenvalues are c, and the projectors
+    # split the identity evenly
+    gains, projectors = slicing._sym_eigen2(c * np.eye(2))
+    assert np.array_equal(gains, np.linalg.eigh(c * np.eye(2))[0])
+    assert np.array_equal(projectors, 0.5 * np.array([np.eye(2), np.eye(2)]))
+
+
+def test_constant_base_preconditioner_drops_both_translations():
+    # on a constant base E = Z^T K Z is exactly 0, so neither translation enters
+    # the coarse solve: a constant residual maps to 0.  On a curved base both do.
+    units = np.ones((2, 16, 16))
+    g = constant_metric(GridSpec(16), np.array([[1.3, 0.2], [0.2, 0.8]]))
+    apply_k, apply_m = slicing._solver(g)
+    assert not np.any(apply_k(units))
+    assert not np.any(apply_m(units))
+    means = np.mean(slicing._solver(generic_metric(16, 1))[1](units), axis=(1, 2))
+    assert np.all(np.abs(means) > 1.0)
 
 
 def generic_metric(n, seed, **kwargs):
@@ -545,6 +644,8 @@ def test_lift_mixed_path_around_curved_base():
     exp_factor = [ebin_exp(base, t * h0, 1.0).endpoint for t in times]
     points = tuple(pullback(flow_exp(x_field, t), exp_factor[k]) for k, t in enumerate(times))
     lifted, gauges = horizontal_lift(MetricPath(times, points), tol=1e-7)
+    # the returned points keep no solver, whose operator table holds 36 n^2 doubles
+    assert not any(point in slicing._SOLVERS for point in lifted.points)
     # measured: gap 7.0e-7, track 1.4e-6, velocity divergence 5.2e-6 (7.8 on the input path)
     for k in range(5):
         assert ebin_norm(base, lifted.points[k].g - exp_factor[k].g) / norm_base <= 1e-5

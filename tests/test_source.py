@@ -137,3 +137,16 @@ def test_unread_members_finds_only_unread_ones():
 def test_every_public_member_is_read_by_the_library():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_members(sources) == []
+
+
+def test_library_calls_no_eigh():
+    # the split's 2x2 eigenproblem has a closed form (slicing._sym_eigen2);
+    # LAPACK's eigh was the runtime's only LAPACK call, and it rounds
+    # differently on different CPU cores
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "eigh" or isinstance(node, ast.Name) and node.id == "eigh"
+    ]
+    assert found == []
