@@ -5,8 +5,9 @@ directions {L_X g} of the pullback action and the divergence-free tensors.
 berger_ebin_project computes that splitting matrix-free, on every base by
 conjugate gradients on the symmetric operator L^T W L, applied through one
 6 x 6 table C^T W C per cell that is built once per base, and preconditioned
-by the FFT solve at the mean metric plus the two translations; on a constant
-base that preconditioner is the exact inverse, and one iteration solves;
+by one 2 x 2 Fourier multiplier per wavenumber, the inverse at the mean
+metric whose zero mode carries the coarse solve on the two translations; on
+a constant base it is the exact inverse, and one iteration solves;
 slice_decompose inverts the local product chart, writing a nearby metric as
 pullback(phi, exp_g(h)) with div-free h; horizontal_lift removes the orbit
 component of a path's velocity step by step.  Isometry probing is
@@ -71,15 +72,16 @@ _PCG_RTOL = 1e-13
 _SOLVERS = weakref.WeakKeyDictionary()
 
 
-def _fourier_solver(n: int, g11: float, g12: float, g22: float):
-    """Exact solve of div(L_X g) = b for the constant metric g, by FFT.
+def _fourier_solver(n: int, g11: float, g12: float, g22: float) -> tuple:
+    """The symbol of the exact inverse of div(L_X g) for the constant metric g.
 
     The stencil D acts on a wavenumber as i d, d_a = (8 sin t_a - sin 2t_a)/(6h),
     so the operator is the 2x2 symbol S = -((d^T g^-1 d) g + d d^T).  S is
     negative definite unless d = 0 (the constants and the checkerboards at
     t_a in {0, pi}); there the inverse is taken as zero, so X has zero mean
-    and no checkerboard.  Returns (solve, smallest non-zero singular value of
-    S), the gain on the smoothest modes, which converges under refinement.
+    and no checkerboard.  Returns (S^-1 on the rfft2 wavenumbers, smallest
+    non-zero singular value of S), the gain on the smoothest modes, which
+    converges under refinement.
     """
 
     def symbol(theta: np.ndarray) -> np.ndarray:
@@ -95,14 +97,8 @@ def _fourier_solver(n: int, g11: float, g12: float, g22: float):
     det = a * c - b * b
     scale = np.zeros_like(det)
     np.divide(-1.0, det, out=scale, where=det > 0.0)
-    inv = (c * scale, -b * scale, a * scale)  # S^-1
-
-    def solve(bs: np.ndarray) -> np.ndarray:
-        bh = np.fft.rfft2(bs)
-        xh = np.stack([inv[0] * bh[0] + inv[1] * bh[1], inv[1] * bh[0] + inv[2] * bh[1]])
-        return np.fft.irfft2(xh, s=(n, n))
-
-    return solve, float(np.min((0.5 * (a + c) - np.hypot(0.5 * (a - c), b))[det > 0.0]))
+    inverse = np.array([[c, -b], [-b, a]]) * scale  # S^-1
+    return inverse, float(np.min((0.5 * (a + c) - np.hypot(0.5 * (a - c), b))[det > 0.0]))
 
 
 def _solver(g: MetricField) -> tuple:
@@ -111,14 +107,14 @@ def _solver(g: MetricField) -> tuple:
     K X = L^T W L X = -2 vol div(L_X g), symmetric positive semi-definite, is
     J^T A J with the 6 x 6 cell table A = C^T W C, as L = C J (calculus).
 
-    M is a symmetric approximate inverse of K with two levels, added: the
-    Fourier solve at the mean metric, which inverts K there but leaves out
-    the constants, plus the exact solve Z E^+ Z^T on the two unit
-    translations Z, with E = Z^T K Z, which are not Killing on a curved base.
-    Eigen-directions of E below _NEAR_KILLING of K's smallest gain on smooth
-    modes are dropped.  The checkerboards are in neither range, so no iterate
-    carries them.  On a constant base E = 0, both translations are dropped,
-    and what is left is the exact inverse of K.
+    M is a symmetric approximate inverse of K: one real symmetric 2 x 2
+    Fourier multiplier per wavenumber.  Off the zero mode it inverts K at the
+    mean metric, where K = -weight div L.  At the zero mode it is E^+, with
+    E = Z^T K Z on the two unit translations Z (not Killing on a curved base),
+    which makes it exactly the coarse solve Z E^+ Z^T.  Eigen-directions of E
+    below _NEAR_KILLING of K's smallest gain on smooth modes are dropped.  The
+    checkerboards have a zero symbol, so no iterate carries them.  On a
+    constant base E = 0, and M is the exact inverse of K.
     """
     if g in _SOLVERS:
         return _SOLVERS[g]
@@ -129,16 +125,20 @@ def _solver(g: MetricField) -> tuple:
         return _jet_adjoint(np.einsum("psij,sij->pij", table, _jet(xs, h)), h)
 
     means = [float(np.mean(c)) for c in g.as_stack()]
-    solve, sigma_min = _fourier_solver(n, *means)
+    inverse, sigma_min = _fourier_solver(n, *means)
     weight = 2.0 * math.sqrt(means[0] * means[2] - means[1] * means[1])  # K = -2 vol div L there
+    multiplier = inverse / -weight
     units = np.einsum("ab,xy->abxy", np.eye(2), np.full((n, n), 1.0 / n))  # unit-norm translations
     e = np.einsum("iaxy,jaxy->ij", units, [apply_k(zj) for zj in units])  # no BLAS
     gains, projectors = _sym_eigen2(e)
     keep = gains > _NEAR_KILLING * weight * sigma_min
-    coarse = np.einsum("k,kjb,b...->j...", 1.0 / gains[keep], projectors[keep], units)  # E^+ Z
+    # Z^T r = rfft2(r)[:, 0, 0] / n, and the constant c / n has coefficient n c there
+    multiplier[:, :, 0, 0] = np.einsum("k,kab->ab", 1.0 / gains[keep], projectors[keep])  # E^+
 
     def apply_m(r: np.ndarray) -> np.ndarray:
-        return solve(r / -weight) + np.einsum("j,j...->...", np.einsum("jaxy,axy->j", units, r), coarse)
+        # rfft2 and irfft2 as their two axis passes, which skips their argument handling
+        rh = np.fft.fft(np.fft.rfft(r), axis=-2)
+        return np.fft.irfft(np.fft.ifft(np.einsum("abij,bij->aij", multiplier, rh), axis=-2), n)
 
     _SOLVERS[g] = apply_k, apply_m
     return _SOLVERS[g]
@@ -166,20 +166,20 @@ def _pcg(apply_k, apply_m, c: np.ndarray) -> tuple:
     and near-Killing translations) does not enter that measure.
     """
     x = np.zeros_like(c)
-    r = c
-    z = apply_m(r)
-    p = z
-    rz = _dot(r, z)
+    r = c.copy()
+    p = apply_m(r)
+    rz = _dot(r, p)
     stop = _PCG_RTOL * _PCG_RTOL * rz
     k = 0
     while k < _PCG_MAX and rz > stop:
         q = apply_k(p)
         alpha = rz / _dot(p, q)
-        x = x + alpha * p
-        r = r - alpha * q
+        x += alpha * p
+        r -= alpha * q
         z = apply_m(r)
         rz, rz_old = _dot(r, z), rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
         k += 1
     return x, k
 
@@ -190,7 +190,7 @@ def _one_form_norm(g: MetricField, ws: np.ndarray) -> float:
 
 
 def _split(g: MetricField, ss: np.ndarray) -> tuple:
-    """Split the stack ss into L_X g + h; returns (SplitResult, div ss).
+    """Split the stack ss into L_X g + h; returns (SplitResult, div ss, sigma(ss, ss)).
 
     Solves div(L_X g) = div ss for X by PCG.  Nothing checks the divergence
     left in h.
@@ -199,9 +199,9 @@ def _split(g: MetricField, ss: np.ndarray) -> tuple:
     xs, iterations = _pcg(*_solver(g), -2.0 * g._volume * b)
     lie = _lie_stack(g, xs)
     hs = ss - lie
-    denom = max(_sym_inner(g, ss, ss), 1e-300)
-    defect = abs(_sym_inner(g, lie, hs)) / denom
-    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations), b
+    ss_sq = _sym_inner(g, ss, ss)
+    defect = abs(_sym_inner(g, lie, hs)) / max(ss_sq, 1e-300)
+    return SplitResult(VectorField(g.spec, xs), SymTensorField(g.spec, hs), defect, iterations), b, ss_sq
 
 
 def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -> SplitResult:
@@ -218,11 +218,11 @@ def berger_ebin_project(g: MetricField, s: SymTensorField, tol: float = 1e-10) -
     an ill-determined shift).  A tol below that floor raises SolverStall
     (retry with higher resolution or a looser tolerance).
     """
-    split, b = _split(g, s.values)
+    split, b, s_sq = _split(g, s.values)
     div_s_norm = _one_form_norm(g, b)
     achieved = _one_form_norm(g, _divergence_stack(g, split.h.values))
     # relative to div s, unless s is divergence-free to roundoff
-    bound = tol * max(div_s_norm, _DIV_ROUNDOFF * ebin_norm(g, s))
+    bound = tol * max(div_s_norm, _DIV_ROUNDOFF * math.sqrt(max(s_sq, 0.0)))
     if achieved > bound:
         if split.iterations == _PCG_MAX:
             stop = f"stopped at its {_PCG_MAX}-iteration cap"
@@ -312,7 +312,7 @@ def slice_decompose(g_base: MetricField, g: MetricField, tol: float = 1e-6) -> S
     residual = ebin_norm(g_base, g.g - g_base.g) / norm_g
 
     for it in range(1, _MAX_ITER + 1):
-        split, _ = _split(g_base, pending.values)
+        split = _split(g_base, pending.values)[0]
         new_hs = hs + split.h.values
 
         # the pending correction measures how far the gauge is from converged
