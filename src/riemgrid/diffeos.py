@@ -1,11 +1,11 @@
 """Discrete torus diffeomorphisms near the identity and their pullback action.
 
 A map is stored as a periodic forward displacement u with phi(x) = x + u(x)
-mod 1, together with a cached inverse displacement v recomputed from scratch
-whenever a new map is produced.  Lattice translations are detected and applied
-as exact sample permutations; everything else goes through spline
-interpolation.  The action on metrics is the left action phi . g = pullback of
-g along phi^{-1}.
+mod 1.  Its inverse displacement v is solved from scratch on the first read of
+v and cached on the map, so a map whose inverse nothing reads (a factor of a
+composition) never pays for it.  Lattice translations are detected and applied
+as exact sample permutations; everything else goes through spline interpolation.
+The action on metrics is the left action phi . g = pullback of g along phi^{-1}.
 
 The inverse displacement solves r(v) = v + u(x + v) = 0 by Newton's method
 and is certified to max|r| <= 1e-12; its only domain rule is det(I + Du) > 0,
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +56,33 @@ _RK4_ERROR_CONSTANT = 0.04
 
 @dataclass(frozen=True, eq=False)
 class DiffeoGrid:
-    """Torus diffeomorphism with displacement u and cached inverse displacement v."""
+    """Torus diffeomorphism with displacement u; its inverse displacement v is solved on first read."""
 
     spec: GridSpec
     u: VectorField
-    v: VectorField
-    inverse_residual: float
+    _start: np.ndarray | None = None
+
+    @cached_property
+    def v(self) -> VectorField:
+        """Inverse displacement by Newton from _start (None: -u), certified to max|v + u(x + v)| <= 1e-12."""
+        us = self.u.values
+        c = _constants(us)
+        if c is not None:
+            return VectorField(self.spec, np.broadcast_to(-c[:, None, None], us.shape))
+        x, y = self.spec.cell_centers()
+        vs = -us if self._start is None else self._start
+        sample = _Sampler(self.u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_INVERSE_MAX_ITER):
+                r = sample(x + vs[0], y + vs[1]) + vs
+                residual = float(np.max(np.abs(r)))
+                if residual <= _INVERSE_TOL:
+                    return VectorField(self.spec, vs)
+                if not math.isfinite(residual):
+                    break
+                dv = stencil_gradient(vs, self.spec.h)
+                vs = vs - (r + dv[0] * r[0] + dv[1] * r[1])
+        raise NoConvergence(f"inverse Newton solve stopped at residual {residual:.3e} (tol {_INVERSE_TOL:.0e})")
 
     def points(self) -> np.ndarray:
         """Forward images of the cell centers, shape (2, n, n), not reduced mod 1."""
@@ -80,32 +102,13 @@ def _lattice_shift(spec: GridSpec, us: np.ndarray) -> tuple[int, int] | None:
 
 
 def _build(spec: GridSpec, us: np.ndarray, start: np.ndarray | None = None) -> DiffeoGrid:
-    """Validate a forward displacement and attach its Newton inverse, started from `start` (default -u)."""
+    """Validate a forward displacement; its inverse, solved on first read, starts from `start` (default -u)."""
     if not np.all(np.isfinite(us)):
         raise StepFailure("displacement field contains non-finite samples")
     (d11, d21), (d12, d22) = stencil_gradient(us, spec.h)  # d_ia = D_a u^i
     if np.any((1.0 + d11) * (1.0 + d22) - d12 * d21 <= 0.0):
         raise JacobianSignFlip("pointwise Jacobian determinant is not positive")
-
-    u = VectorField(spec, us)
-    c = _constants(us)
-    if c is not None:
-        return DiffeoGrid(spec, u, VectorField(spec, np.broadcast_to(-c[:, None, None], us.shape)), 0.0)
-
-    x, y = spec.cell_centers()
-    vs = -us if start is None else start
-    sample = _Sampler(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_INVERSE_MAX_ITER):
-            r = sample(x + vs[0], y + vs[1]) + vs
-            residual = float(np.max(np.abs(r)))
-            if residual <= _INVERSE_TOL:
-                return DiffeoGrid(spec, u, VectorField(spec, vs), residual)
-            if not math.isfinite(residual):
-                break
-            dv = stencil_gradient(vs, spec.h)
-            vs = vs - (r + dv[0] * r[0] + dv[1] * r[1])
-    raise NoConvergence(f"inverse Newton solve stopped at residual {residual:.3e} (tol {_INVERSE_TOL:.0e})")
+    return DiffeoGrid(spec, VectorField(spec, us), start)
 
 
 def from_displacement(spec: GridSpec, u: VectorField) -> DiffeoGrid:
@@ -124,7 +127,7 @@ def translation(spec: GridSpec, shift) -> DiffeoGrid:
 
 
 def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
-    """phi o psi, sampled at cell centers; the inverse is recomputed, not composed."""
+    """phi o psi at cell centers (psi itself if phi is the identity); its inverse is solved on first read."""
     if phi.spec != psi.spec:
         raise ValueError("cannot compose maps on different grids")
     # the spline returns a constant only to roundoff, so without this shortcut a
@@ -132,6 +135,8 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
     cu, cv = _constants(phi.u.values), _constants(psi.u.values)
     if cu is not None and cv is not None:
         return translation(phi.spec, cu + cv)
+    if cu is not None and not np.any(cu):  # the spline of zeros is exactly 0
+        return psi
     x, y = phi.spec.cell_centers()
     us_psi = psi.u.values
     us = us_psi + interpolate(phi.u, x + us_psi[0], y + us_psi[1])
@@ -139,10 +144,10 @@ def compose(phi: DiffeoGrid, psi: DiffeoGrid) -> DiffeoGrid:
 
 
 def invert(phi: DiffeoGrid) -> DiffeoGrid:
-    """phi^{-1}: promotes the cached inverse displacement to a forward one.
+    """phi^{-1}: promotes phi's inverse displacement (solved here if not yet read) to a forward one.
 
-    Its own inverse is solved afresh by Newton, started from phi.u, which
-    inverts v only to spline accuracy (about 1e-7).
+    Its own inverse is solved afresh by Newton on first read, started from
+    phi.u, which inverts v only to spline accuracy (about 1e-7).
     """
     return _build(phi.spec, phi.v.values, start=phi.u.values)
 

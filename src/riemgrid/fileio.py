@@ -38,7 +38,7 @@ _KIND_TYPES = {
 
 
 def _kind_and_stack(field):
-    if isinstance(field, DiffeoGrid):  # the forward displacement; the inverse is recomputed on read
+    if isinstance(field, DiffeoGrid):  # the forward displacement; the inverse is solved on its first read
         return "diffeo", field.u.as_stack()
     for kind, cls in _KIND_TYPES.items():
         if isinstance(field, cls):

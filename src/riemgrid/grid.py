@@ -29,9 +29,10 @@ as_stack() returns it, and component k is values[k].  The stencils act on
 whole stacks: x and y are the last two array axes, so one call differentiates
 every component of a field.  Every public operation here is a pure function.
 
-Derived data (a field's spline coefficients; a metric's inverse, volume
-density and table of L_X g) is a cached_property of the object it derives
-from: computed once, on first use, read-only, and freed with that object.
+Derived data (a grid's cell-center lattice and spline prefilter symbol; a
+field's spline coefficients; a metric's inverse, volume density and table of
+L_X g; a map's inverse displacement) is a cached_property of the object it
+derives from: computed once, on first use, read-only, and freed with that object.
 """
 
 from __future__ import annotations
@@ -59,9 +60,19 @@ class GridSpec:
         return 1.0 / self.n
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate arrays x[i,j], y[i,j] of the cell centers."""
+        """Coordinate arrays x[i,j], y[i,j] of the cell centers, the same read-only pair on every call."""
+        return self._centers
+
+    @cached_property
+    def _centers(self) -> tuple[np.ndarray, np.ndarray]:
         c = (np.arange(self.n) + 0.5) / self.n
-        return np.meshgrid(c, c, indexing="ij")
+        return tuple(_read_only(a) for a in np.meshgrid(c, c, indexing="ij"))
+
+    @cached_property
+    def _prefilter(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spline prefilter's symbol on the rfft2 modes, and the wrap index of rows -2 ... n+1."""
+        symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(self.n) / self.n)) / 6.0
+        return _read_only(np.outer(symbol, symbol[: self.n // 2 + 1])), _read_only(np.arange(-2, self.n + 2) % self.n)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -117,10 +128,8 @@ class _Field:
     def _spline_coef(self) -> np.ndarray:
         """Spline coefficients of every component, wrap-padded to rows and columns -2 ... n+1."""
         n = self.spec.n
-        symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
-        spectrum = np.fft.rfft2(self.values) / np.outer(symbol, symbol[: n // 2 + 1])
-        wrap = np.arange(-2, n + 2) % n
-        return _read_only(np.fft.irfft2(spectrum, s=(n, n))[..., wrap[:, None], wrap])
+        symbol, wrap = self.spec._prefilter
+        return _read_only(np.fft.irfft2(np.fft.rfft2(self.values) / symbol, s=(n, n))[..., wrap[:, None], wrap])
 
     def __add__(self, other):
         return type(self)(self.spec, self.values + other.values)
@@ -240,14 +249,14 @@ def stencil_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     ax = axis - 3
     n = values.shape[ax]
-    # wrap-padded by two cells on each side; shifted(k)[..., i] = values[..., (i + k) % n]
-    padded = np.take(values, np.arange(-2, n + 2), axis=ax, mode="wrap")
     trailing = (slice(None),) * (-1 - ax)
 
-    def shifted(k: int) -> np.ndarray:
-        return padded[(..., slice(2 + k, 2 + k + n)) + trailing]
+    def cells(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return a[(..., slice(start, stop)) + trailing]
 
-    p1, p2, m1, m2 = shifted(1), shifted(2), shifted(-1), shifted(-2)
+    # wrap-padded by two cells on each side from its edge strips; shift k reads cells 2 + k ... 1 + k + n
+    padded = np.concatenate((cells(values, n - 2, n), values, cells(values, 0, 2)), axis=ax)
+    p1, p2, m1, m2 = (cells(padded, 2 + k, 2 + k + n) for k in (1, 2, -1, -2))
     # paired differences cancel bitwise on constant data
     return (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * h)
 

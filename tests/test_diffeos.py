@@ -76,8 +76,22 @@ def test_identity_diffeo():
 
 def test_identity_is_neutral_for_compose():
     phi = small_flow()
-    assert map_gap(compose(identity_diffeo(SPEC), phi), phi) <= 1e-9
+    # on the left it is exact, as the spline of zero is 0; on the right the
+    # spline reproduces the nodes only to roundoff
+    assert compose(identity_diffeo(SPEC), phi) is phi
     assert map_gap(compose(phi, identity_diffeo(SPEC)), phi) <= 1e-13
+
+
+def test_an_inverse_is_solved_only_when_read():
+    phi = small_flow(31, 0.02)
+    flow = flow_exp(random_vector_field(SPEC, 32, max_mode=2, amplitude=0.02), -0.5)
+    composite = compose(phi, flow)
+    assert not any("v" in f.__dict__ for f in (phi, flow, composite))
+    inv = invert(phi)  # promotes phi's inverse, so solves it
+    near_id = compose(phi, inv)
+    assert "v" in phi.__dict__
+    assert "v" not in inv.__dict__ and "v" not in near_id.__dict__
+    assert composite.v is composite.v
 
 
 def test_identity_pullback_is_exact():
@@ -183,17 +197,20 @@ def test_flow_inverts_where_the_fixed_point_could_not(seed, amplitude):
     x_field = random_vector_field(SPEC, seed, amplitude=amplitude, max_mode=4)
     phi = flow_exp(x_field, 1.0)
     inv = invert(phi)
-    assert phi.inverse_residual <= 1e-12
-    assert inv.inverse_residual <= 1e-12
+    x, y = SPEC.cell_centers()
+    for f in (phi, inv):  # the Newton certificate max|v + u(x + v)|
+        v = f.v.values
+        assert np.max(np.abs(v + interpolate(f.u, x + v[0], y + v[1]))) <= 1e-12
     assert np.max(np.abs(compose(phi, inv).u.values)) <= 1e-10
 
 
 def test_flow_whose_inverse_diverges_raises():
     # det(I + Du) >= 0.34 passes the sign check, but at max ||Du||_2 = 1.60
-    # the Newton iterate for the inverse diverges
+    # the Newton iterate for the inverse diverges, at the first read of v
     x_field = random_vector_field(SPEC, 7, amplitude=0.05, max_mode=4)
+    phi = flow_exp(x_field, 1.0)
     with pytest.raises(NoConvergence, match=r"residual"):
-        flow_exp(x_field, 1.0)
+        phi.v
 
 
 def test_flow_displacement_bound():

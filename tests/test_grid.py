@@ -85,6 +85,11 @@ def test_derived_data_is_cached_read_only():
     # the public fields share the metric's arrays instead of copying them
     assert metric_inverse(g).as_stack() is g._inverse
     assert volume_density(g).values is g._volume
+    # the grid's lattice and spline prefilter are built once per spec
+    spec = g.spec
+    assert spec.cell_centers() is spec.cell_centers() and spec._prefilter is spec._prefilter
+    for cached in spec.cell_centers() + spec._prefilter:
+        assert not cached.flags.writeable
 
 
 def test_constant_field_identity():
@@ -255,24 +260,18 @@ def test_stencil_rejects_an_axis_outside_the_grid():
 
 
 def test_stencil_matches_roll_form_bitwise():
-    # the wrap-padded stencil does the arithmetic of the np.roll form on the same values
+    # the wrap-padded stencil does the arithmetic of the np.roll form on the same
+    # values, on one grid and on every grid of a stack
     rng = np.random.default_rng(5)
-    for n in (4, 5, 16, 33):
-        values = rng.standard_normal((n, n))
-        for axis in (1, 2):
-            ax = axis - 1
-            p1, p2 = np.roll(values, -1, axis=ax), np.roll(values, -2, axis=ax)
-            m1, m2 = np.roll(values, 1, axis=ax), np.roll(values, 2, axis=ax)
-            reference = (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * (1.0 / n))
-            assert np.array_equal(stencil_derivative(values, axis, 1.0 / n), reference)
-        # on a stack, every (n, n) grid gets the single-grid stencil
-        for shape in ((3, n, n), (2, 2, n, n)):
-            stack = rng.standard_normal(shape)
-            grids = stack.reshape(-1, n, n)
+    for n in (4, 5, 16, 32, 33):
+        for shape in ((n, n), (2, n, n), (3, n, n), (2, 2, n, n)):
+            values = rng.standard_normal(shape)
             for axis in (1, 2):
-                got = stencil_derivative(stack, axis, 1.0 / n).reshape(-1, n, n)
-                for k, grid in enumerate(grids):
-                    assert np.array_equal(got[k], stencil_derivative(grid, axis, 1.0 / n))
+                ax = axis - 3
+                p1, p2 = np.roll(values, -1, axis=ax), np.roll(values, -2, axis=ax)
+                m1, m2 = np.roll(values, 1, axis=ax), np.roll(values, 2, axis=ax)
+                reference = (8.0 * (p1 - m1) + (m2 - p2)) / (12.0 * (1.0 / n))
+                assert np.array_equal(stencil_derivative(values, axis, 1.0 / n), reference)
 
 
 def test_integrate_constant():
